@@ -21,37 +21,16 @@ from .engine import (
     solve_first,
     solve_optimal,
 )
-from .mset import (
-    Flags,
-    MultisetOrdering,
-    NO_INDEX,
-    SortedMultisetOrdering,
-    filter_multiset_once,
-    multiset_entailed,
-)
-from .order import (
-    OccVector,
-    Ordering,
-    ceiling_of,
-    floor_of,
-    lex_cmp,
-    mset_cmp,
-    normalize_values,
-    occ_of,
-    sort_desc,
-)
-from .store import Event, EventKind, Inconsistent, Store
+from .mset import MultisetOrdering, SortedMultisetOrdering
+from .order import Ordering, lex_cmp, mset_cmp, sort_desc
+from .store import EventKind, Inconsistent, Store
 
 __all__ = [
     "Branching",
-    "Event",
     "EventKind",
-    "Flags",
     "Inconsistent",
     "Model",
     "MultisetOrdering",
-    "NO_INDEX",
-    "OccVector",
     "Ordering",
     "Propagator",
     "SearchStats",
@@ -61,15 +40,9 @@ __all__ = [
     "Status",
     "Store",
     "ascending",
-    "ceiling_of",
     "descending",
-    "filter_multiset_once",
-    "floor_of",
     "lex_cmp",
     "mset_cmp",
-    "multiset_entailed",
-    "normalize_values",
-    "occ_of",
     "propagate_to_fixpoint",
     "solve_first",
     "solve_optimal",

@@ -49,7 +49,6 @@ class RunConfig:
     entailment: bool = False
     labelling: str = "row-wise"
     timeout: Optional[float] = None
-    seed: int = 0
 
     def validate(self) -> None:
         if self.encoding not in ENCODINGS:
@@ -579,7 +578,6 @@ def run(cfg: RunConfig, instance: dict) -> RunRecord:
             "entailment": cfg.entailment,
             "labelling": cfg.labelling,
             "timeout": cfg.timeout,
-            "seed": cfg.seed,
         },
         status=status,
         fails=stats.fails,

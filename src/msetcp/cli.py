@@ -8,6 +8,7 @@ codes: 0 on solved/unsat, 1 on timeout, 2 on schema or configuration errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -56,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="static variable order (progressive party)",
     )
     parser.add_argument("--timeout", type=float, default=None, help="search budget in seconds")
-    parser.add_argument("--seed", type=int, default=0, help="recorded in the stats output")
     parser.add_argument("--stats-json", default=None, help="append the JSON record to this file")
     return parser
 
@@ -76,14 +76,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             entailment=args.entailment,
             labelling=args.labelling,
             timeout=args.timeout,
-            seed=args.seed,
         )
         record = run(cfg, instance)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(record.text_line())
-    print(record.to_json())
+    try:
+        print(record.text_line())
+        print(record.to_json(), flush=True)
+    except BrokenPipeError:
+        # the reader stopped early (``bench ... | head -1``): the run is
+        # complete, so its exit code stands; the interpreter's final flush of
+        # the dead pipe goes to devnull instead of raising again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     if args.stats_json:
         with open(args.stats_json, "a") as fh:
             fh.write(record.to_json() + "\n")

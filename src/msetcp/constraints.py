@@ -15,7 +15,9 @@ from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 from .engine import Propagator, Status
-from .order import Ordering, lex_cmp, mset_cmp, sort_desc
+from .mset import MultisetPair
+from .mset import StatelessMultisetOrdering  # re-exported beside Conditional, its host
+from .order import Ordering, lex_cmp, sort_desc
 from .store import EventKind, Inconsistent, Store
 
 
@@ -252,33 +254,30 @@ class SortednessLink(Propagator):
         )
 
 
-class ArithmeticMultiset(Propagator):
+class ArithmeticMultiset(MultisetPair):
     """Weighted-power-sum encoding of the multiset ordering, exact integers.
 
     Every value ``v`` weighs ``base**v``; the constraint is the inequality
     between the two weight sums (strict with ``strict``).  Bounds consistency
     on the sums is established with arbitrary-precision arithmetic; for this
     encoding it prunes exactly as much as GAC on the multiset ordering, so the
-    two produce identical search trees.  Requires non-negative values and
-    ``base >= max(2, len(xs))``.
+    two produce identical search trees.  Requires non-negative values and a
+    base that keeps the sums exact: ``base >= max(2, n)`` for two vectors of
+    length ``n`` (``n`` copies of ``v`` weigh as much as one ``v + 1`` only
+    when they fill a whole vector, and then the other vector's remaining
+    elements break the tie), and a base above both lengths otherwise.
     """
 
     def __init__(
         self, xs: Sequence[int], ys: Sequence[int], base: int, strict: bool = False
     ) -> None:
-        if base < 2 or base < len(xs):
+        super().__init__(xs, ys, strict)
+        if base < max(2, len(xs)):
             raise ValueError("base must be at least 2 and at least the vector length")
-        self.xs = list(xs)
-        self.ys = list(ys)
+        if len(xs) != len(ys) and base <= max(len(xs), len(ys)):
+            raise ValueError("with unequal lengths the base must exceed both lengths")
         self.base = base
-        self.strict = strict
         self._powers: list[int] = [1]
-
-    def subscriptions(self):
-        for x in self.xs:
-            yield x, EventKind.MIN_CHANGED
-        for y in self.ys:
-            yield y, EventKind.MAX_CHANGED
 
     def _pow(self, v: int) -> int:
         powers = self._powers
@@ -561,34 +560,3 @@ class Conditional(Propagator):
         if values[self.guard_a] != values[self.guard_b]:
             return True
         return self.body.check(values)
-
-
-class StatelessMultisetOrdering(Propagator):
-    """Multiset ordering filtered by a fresh full pass on every call.
-
-    Prunes exactly like the incremental filter but keeps no post-time state,
-    which makes it a valid :class:`Conditional` body.
-    """
-
-    def __init__(self, xs: Sequence[int], ys: Sequence[int], strict: bool = False) -> None:
-        self.xs = list(xs)
-        self.ys = list(ys)
-        self.strict = strict
-
-    def subscriptions(self):
-        for x in self.xs:
-            yield x, EventKind.MIN_CHANGED
-        for y in self.ys:
-            yield y, EventKind.MAX_CHANGED
-
-    def propagate(self, store: Store) -> Status:
-        from .mset import filter_multiset_once
-
-        filter_multiset_once(store, self.xs, self.ys, self.strict)
-        return Status.ACTIVE
-
-    def check(self, values: Sequence[int]) -> bool:
-        cmp = mset_cmp((values[x] for x in self.xs), (values[y] for y in self.ys))
-        if self.strict:
-            return cmp is Ordering.LESS
-        return cmp is not Ordering.GREATER

@@ -1,25 +1,28 @@
 """GAC filtering for the multiset ordering constraints X <=m Y and X <m Y.
 
-Two interchangeable filters are provided.  :class:`MultisetOrdering` keeps a
-pair of occurrence vectors counting ``min(X_i)`` and ``max(Y_i)`` values and
-runs in time linear in the vector length plus the number of distinct values.
-:class:`SortedMultisetOrdering` instead keeps ``min(X_i)`` and ``max(Y_i)``
-as descending sorted vectors, which makes its cost independent of the size of
-the value range.  Both recompute a small pointer/flag summary of the relation
-between the two maintained vectors on every invocation and then decide, in
-constant time per variable, the tight upper bound of every ``X_i`` and the
-tight lower bound of every ``Y_i``.  Only those bounds are ever touched, so a
-single pass reaches the generalised arc consistent fixpoint and no pruning can
-wipe out a domain once disentailment has been ruled out.
+Every propagator of the ordering derives from :class:`MultisetPair` (the two
+vectors, their validation, the wake-up events and the ground ``check``), and
+the filters share one core: a pointer/flag summary of how the floor of X
+(every ``min(X_i)``) compares with the ceiling of Y (every ``max(Y_i)``),
+then one pass, :func:`_prune`, that decides in constant time per variable the
+tight upper bound of every ``X_i`` and the tight lower bound of every ``Y_i``.
+Only those bounds are ever touched, so a single pass reaches the generalised
+arc consistent fixpoint and no pruning can wipe out a domain once
+disentailment has been ruled out.
 
-The maintained vectors themselves are updated incrementally through bound
-watchers, including across backtracking.
+:class:`MultisetOrdering` takes the summary from occurrence vectors over the
+values renamed onto ``0..d-1``, in time linear in the vector length plus the
+number of distinct values; :class:`StatelessMultisetOrdering` runs the same
+pass on vectors rebuilt at every call, which suits conditional bodies.
+:class:`SortedMultisetOrdering` takes it from descending sorted vectors, at a
+cost independent of the size of the value range.  The two dedicated filters
+keep their vectors in step through bound watchers, across backtracking too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .engine import Propagator, Status
 from .order import Ordering, mset_cmp
@@ -55,6 +58,30 @@ class _IdentityMap:
 
 
 _IDENTITY = _IdentityMap()
+
+
+def _rank_map(store: Store, variables: Iterable[int]) -> tuple[dict[int, int], list[int]]:
+    """Order isomorphism from the union of the domains onto ``0..d-1``.
+
+    Returns the value->rank map and its inverse (the sorted distinct values).
+    Renaming preserves multiset comparisons and keeps count vectors dense.
+    """
+    values: set[int] = set()
+    for v in variables:
+        values.update(store.values(v))
+    unrank = sorted(values)
+    return {v: r for r, v in enumerate(unrank)}, unrank
+
+
+def _occurrence_counts(
+    rank: dict[int, int], d: int, bound: Callable[[int], int], variables: Iterable[int]
+) -> list[int]:
+    """How often each rank occurs among the ``bound`` (a store's ``min`` or
+    ``max``) of ``variables``."""
+    counts = [0] * d
+    for v in variables:
+        counts[rank[bound(v)]] += 1
+    return counts
 
 
 def _occ_flags(xc: Sequence[int], yc: Sequence[int], strict: bool) -> Flags:
@@ -99,9 +126,10 @@ def _occ_flags(xc: Sequence[int], yc: Sequence[int], strict: bool) -> Flags:
     return Flags(first_lt, first_gt, flat_between, tail_wrong)
 
 
-def _prune_x_side(
+def _prune(
     store: Store,
     xs: Sequence[int],
+    ys: Sequence[int],
     fl: Flags,
     x_at_lt: int,
     y_at_lt: int,
@@ -110,7 +138,11 @@ def _prune_x_side(
     rank,
     unrank,
 ) -> None:
-    """Tighten max(X_i) for every i to its largest supported value."""
+    """Tighten max(X_i) and min(Y_i) for every i to their supported values.
+
+    ``x_at_lt`` and the other three are the floor and ceiling counts at the
+    two flag positions; ``rank``/``unrank`` map values to flag positions.
+    """
     lt, gt = fl.first_lt, fl.first_gt
     critical = fl.flat_between and x_at_lt + 1 == y_at_lt
     for x in xs:
@@ -133,22 +165,6 @@ def _prune_x_side(
                         store.set_max(x, unrank[lt - 1])
                 elif rmn < gt:
                     store.set_max(x, unrank[lt - 1])
-
-
-def _prune_y_side(
-    store: Store,
-    ys: Sequence[int],
-    fl: Flags,
-    x_at_lt: int,
-    y_at_lt: int,
-    x_at_gt: int,
-    y_at_gt: int,
-    rank,
-    unrank,
-) -> None:
-    """Tighten min(Y_i) for every i to its smallest supported value."""
-    lt, gt = fl.first_lt, fl.first_gt
-    critical = fl.flat_between and x_at_lt + 1 == y_at_lt
     for y in ys:
         vals = store.values(y)
         mx = vals[-1]
@@ -168,14 +184,61 @@ def _prune_y_side(
                     store.set_min(y, unrank[gt + 1])
 
 
-def _check_distinct(xs: Sequence[int], ys: Sequence[int]) -> None:
-    if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
-        raise ValueError("vector contains a repeated variable")
-    if set(xs) & set(ys):
-        raise ValueError("the two vectors must not share variables")
+def _filter_counts(
+    store: Store,
+    xs: Sequence[int],
+    ys: Sequence[int],
+    xc: Sequence[int],
+    yc: Sequence[int],
+    strict: bool,
+    rank,
+    unrank,
+) -> Flags:
+    """One GAC pass from the floor counts ``xc`` and ceiling counts ``yc``.
+
+    Returns the flags in rank space; raises Inconsistent on disentailment.
+    """
+    fl = _occ_flags(xc, yc, strict)
+    lt, gt = fl.first_lt, fl.first_gt
+    x_at_lt = xc[lt] if lt is not NO_INDEX else 0
+    y_at_lt = yc[lt] if lt is not NO_INDEX else 0
+    x_at_gt = xc[gt] if gt is not NO_INDEX else 0
+    y_at_gt = yc[gt] if gt is not NO_INDEX else 0
+    _prune(store, xs, ys, fl, x_at_lt, y_at_lt, x_at_gt, y_at_gt, rank, unrank)
+    return fl
 
 
-class MultisetOrdering(Propagator):
+class MultisetPair(Propagator):
+    """What every propagator of ``{{X}} <=m {{Y}}`` (``<m`` with strict) shares.
+
+    Holds the two vectors, which must consist of distinct variables, wakes on
+    the bound changes that decide support (``min(X_i)`` and ``max(Y_i)``) and
+    tests ground assignments.  Not a filter by itself.
+    """
+
+    def __init__(self, xs: Sequence[int], ys: Sequence[int], strict: bool = False) -> None:
+        if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
+            raise ValueError("vector contains a repeated variable")
+        if set(xs) & set(ys):
+            raise ValueError("the two vectors must not share variables")
+        self.xs = list(xs)
+        self.ys = list(ys)
+        self.strict = strict
+
+    def subscriptions(self):
+        for x in self.xs:
+            yield x, EventKind.MIN_CHANGED
+        for y in self.ys:
+            yield y, EventKind.MAX_CHANGED
+
+    def check(self, values: Sequence[int]) -> bool:
+        cmp = mset_cmp((values[x] for x in self.xs), (values[y] for y in self.ys))
+        if self.strict:
+            return cmp is Ordering.LESS
+        return cmp is not Ordering.GREATER
+
+
+class MultisetOrdering(MultisetPair):
     """Occurrence-vector filter for ``{{X}} <=m {{Y}}`` (``<m`` with strict).
 
     Domain values are renamed once at post time onto the contiguous range
@@ -193,10 +256,7 @@ class MultisetOrdering(Propagator):
         strict: bool = False,
         entailment: bool = False,
     ) -> None:
-        _check_distinct(xs, ys)
-        self.xs = list(xs)
-        self.ys = list(ys)
-        self.strict = strict
+        super().__init__(xs, ys, strict)
         self.track_entailment = entailment
         self.entailed = False
         self.xmin_counts: list[int] = []
@@ -209,33 +269,12 @@ class MultisetOrdering(Propagator):
 
     # -- setup ----------------------------------------------------------------
 
-    def subscriptions(self):
-        for x in self.xs:
-            yield x, EventKind.MIN_CHANGED
-        for y in self.ys:
-            yield y, EventKind.MAX_CHANGED
-
     def post(self, store: Store) -> Status:
-        values: set[int] = set()
-        for v in self.xs + self.ys:
-            values.update(store.values(v))
-        self._unrank = sorted(values)
-        self._rank = {v: r for r, v in enumerate(self._unrank)}
-        d = len(self._unrank)
-        rank = self._rank
-        self.xmin_counts = xc = [0] * d
-        self.ymax_counts = yc = [0] * d
-        for x in self.xs:
-            xc[rank[store.min(x)]] += 1
-        for y in self.ys:
-            yc[rank[store.max(y)]] += 1
+        self._rank, self._unrank = _rank_map(store, self.xs + self.ys)
+        counts = self.rebuilt_counts(store)
+        self.xmin_counts, self.ymax_counts = counts[0], counts[1]
         if self.track_entailment:
-            self.xmax_counts = exc = [0] * d
-            self.ymin_counts = eyc = [0] * d
-            for x in self.xs:
-                exc[rank[store.max(x)]] += 1
-            for y in self.ys:
-                eyc[rank[store.min(y)]] += 1
+            self.xmax_counts, self.ymin_counts = counts[2], counts[3]
         for x in self.xs:
             store.watch_bounds(x, self._x_bounds_changed)
         for y in self.ys:
@@ -269,23 +308,17 @@ class MultisetOrdering(Propagator):
     def rebuilt_counts(self, store: Store) -> tuple[list[int], ...]:
         """Count vectors recomputed from scratch (reference for the
         incrementally maintained ones)."""
-        d = len(self._unrank)
-        rank = self._rank
-        xc = [0] * d
-        yc = [0] * d
-        for x in self.xs:
-            xc[rank[store.min(x)]] += 1
-        for y in self.ys:
-            yc[rank[store.max(y)]] += 1
+        rank, d = self._rank, len(self._unrank)
+        counts = (
+            _occurrence_counts(rank, d, store.min, self.xs),
+            _occurrence_counts(rank, d, store.max, self.ys),
+        )
         if not self.track_entailment:
-            return xc, yc
-        exc = [0] * d
-        eyc = [0] * d
-        for x in self.xs:
-            exc[rank[store.max(x)]] += 1
-        for y in self.ys:
-            eyc[rank[store.min(y)]] += 1
-        return xc, yc, exc, eyc
+            return counts
+        return counts + (
+            _occurrence_counts(rank, d, store.max, self.xs),
+            _occurrence_counts(rank, d, store.min, self.ys),
+        )
 
     # -- filtering --------------------------------------------------------------
 
@@ -308,12 +341,6 @@ class MultisetOrdering(Propagator):
 
         store.trail_undo(undo)
 
-    def flags(self) -> Flags:
-        """Pointer/flag summary in original value space; raises on
-        disentailment."""
-        fl = _occ_flags(self.xmin_counts, self.ymax_counts, self.strict)
-        return self._flags_to_values(fl)
-
     def _flags_to_values(self, fl: Flags) -> Flags:
         unrank = self._unrank
         lt = unrank[fl.first_lt] if fl.first_lt is not NO_INDEX else NO_INDEX
@@ -327,33 +354,39 @@ class MultisetOrdering(Propagator):
             if self.entailment_holds():
                 self._mark_entailed(store)
                 return Status.ENTAILED
-        xc, yc = self.xmin_counts, self.ymax_counts
-        fl = _occ_flags(xc, yc, self.strict)
+        fl = _filter_counts(
+            store, self.xs, self.ys, self.xmin_counts, self.ymax_counts,
+            self.strict, self._rank, self._unrank,
+        )
         self.last_flags = self._flags_to_values(fl)
-        lt, gt = fl.first_lt, fl.first_gt
-        x_at_lt = xc[lt] if lt is not NO_INDEX else 0
-        y_at_lt = yc[lt] if lt is not NO_INDEX else 0
-        x_at_gt = xc[gt] if gt is not NO_INDEX else 0
-        y_at_gt = yc[gt] if gt is not NO_INDEX else 0
-        rank, unrank = self._rank, self._unrank
-        _prune_x_side(store, self.xs, fl, x_at_lt, y_at_lt, x_at_gt, y_at_gt, rank, unrank)
-        if self.track_entailment and self.entailment_holds():
-            self._mark_entailed(store)
-            return Status.ENTAILED
-        _prune_y_side(store, self.ys, fl, x_at_lt, y_at_lt, x_at_gt, y_at_gt, rank, unrank)
         if self.track_entailment and self.entailment_holds():
             self._mark_entailed(store)
             return Status.ENTAILED
         return Status.ACTIVE
 
-    def check(self, values: Sequence[int]) -> bool:
-        cmp = mset_cmp((values[x] for x in self.xs), (values[y] for y in self.ys))
-        if self.strict:
-            return cmp is Ordering.LESS
-        return cmp is not Ordering.GREATER
+
+class StatelessMultisetOrdering(MultisetPair):
+    """Occurrence filter that rebuilds its count vectors on every call.
+
+    Prunes exactly like :class:`MultisetOrdering` but keeps no post-time
+    state, which makes it a valid :class:`~msetcp.constraints.Conditional`
+    body: its ``propagate`` may first run at any search depth.
+    """
+
+    def propagate(self, store: Store) -> Status:
+        xs, ys = self.xs, self.ys
+        rank, unrank = _rank_map(store, xs + ys)
+        d = len(unrank)
+        _filter_counts(
+            store, xs, ys,
+            _occurrence_counts(rank, d, store.min, xs),
+            _occurrence_counts(rank, d, store.max, ys),
+            self.strict, rank, unrank,
+        )
+        return Status.ACTIVE
 
 
-class SortedMultisetOrdering(Propagator):
+class SortedMultisetOrdering(MultisetPair):
     """Sorted-vector filter for ``{{X}} <=m {{Y}}`` (``<m`` with strict).
 
     Keeps ``min(X_i)`` and ``max(Y_i)`` as descending sorted vectors and
@@ -365,25 +398,15 @@ class SortedMultisetOrdering(Propagator):
     """
 
     def __init__(self, xs: Sequence[int], ys: Sequence[int], strict: bool = False) -> None:
-        _check_distinct(xs, ys)
+        super().__init__(xs, ys, strict)
         if len(xs) != len(ys):
             raise ValueError("sorted-vector filter requires equal-length vectors")
-        self.xs = list(xs)
-        self.ys = list(ys)
-        self.strict = strict
         self.xmin_sorted: list[int] = []
         self.ymax_sorted: list[int] = []
         self.last_flags: Optional[Flags] = None
 
-    def subscriptions(self):
-        for x in self.xs:
-            yield x, EventKind.MIN_CHANGED
-        for y in self.ys:
-            yield y, EventKind.MAX_CHANGED
-
     def post(self, store: Store) -> Status:
-        self.xmin_sorted = sorted((store.min(x) for x in self.xs), reverse=True)
-        self.ymax_sorted = sorted((store.max(y) for y in self.ys), reverse=True)
+        self.xmin_sorted, self.ymax_sorted = self.rebuilt_sorted(store)
         for x in self.xs:
             store.watch_bounds(x, self._x_bounds_changed)
         for y in self.ys:
@@ -503,62 +526,7 @@ class SortedMultisetOrdering(Propagator):
     def propagate(self, store: Store) -> Status:
         fl, x_at_lt, y_at_lt, x_at_gt, y_at_gt = self.flags()
         self.last_flags = fl
-        _prune_x_side(
-            store, self.xs, fl, x_at_lt, y_at_lt, x_at_gt, y_at_gt, _IDENTITY, _IDENTITY
-        )
-        _prune_y_side(
-            store, self.ys, fl, x_at_lt, y_at_lt, x_at_gt, y_at_gt, _IDENTITY, _IDENTITY
+        _prune(
+            store, self.xs, self.ys, fl, x_at_lt, y_at_lt, x_at_gt, y_at_gt, _IDENTITY, _IDENTITY
         )
         return Status.ACTIVE
-
-    def check(self, values: Sequence[int]) -> bool:
-        cmp = mset_cmp((values[x] for x in self.xs), (values[y] for y in self.ys))
-        if self.strict:
-            return cmp is Ordering.LESS
-        return cmp is not Ordering.GREATER
-
-
-def multiset_entailed(
-    store: Store, xs: Sequence[int], ys: Sequence[int], strict: bool = False
-) -> bool:
-    """Point-in-time entailment test on current domains.
-
-    True iff every completion satisfies the ordering, i.e. the multiset of
-    ``max(X_i)`` compares at-most (strictly below, with ``strict``) the
-    multiset of ``min(Y_i)``.
-    """
-    cmp = mset_cmp((store.max(x) for x in xs), (store.min(y) for y in ys))
-    if strict:
-        return cmp is Ordering.LESS
-    return cmp is not Ordering.GREATER
-
-
-def filter_multiset_once(store: Store, xs: Sequence[int], ys: Sequence[int], strict: bool = False) -> None:
-    """One stateless GAC pass for ``{{X}} <=m {{Y}}`` on current domains.
-
-    Builds fresh count vectors, so it is safe to call at any search node
-    without post-time state; used by wrappers that activate the constraint
-    lazily.  Raises Inconsistent on disentailment.
-    """
-    values: set[int] = set()
-    for v in xs:
-        values.update(store.values(v))
-    for v in ys:
-        values.update(store.values(v))
-    unrank = sorted(values)
-    rank = {v: r for r, v in enumerate(unrank)}
-    d = len(unrank)
-    xc = [0] * d
-    yc = [0] * d
-    for x in xs:
-        xc[rank[store.min(x)]] += 1
-    for y in ys:
-        yc[rank[store.max(y)]] += 1
-    fl = _occ_flags(xc, yc, strict)
-    lt, gt = fl.first_lt, fl.first_gt
-    x_at_lt = xc[lt] if lt is not NO_INDEX else 0
-    y_at_lt = yc[lt] if lt is not NO_INDEX else 0
-    x_at_gt = xc[gt] if gt is not NO_INDEX else 0
-    y_at_gt = yc[gt] if gt is not NO_INDEX else 0
-    _prune_x_side(store, xs, fl, x_at_lt, y_at_lt, x_at_gt, y_at_gt, rank, unrank)
-    _prune_y_side(store, ys, fl, x_at_lt, y_at_lt, x_at_gt, y_at_gt, rank, unrank)

@@ -122,6 +122,51 @@ def chain(pair_checker: Checker, adjacent_only: bool = True) -> Checker:
     return checked
 
 
+# -- occurrence vectors ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class OccVector:
+    """Occurrence counts over ``[lo, hi]``, most significant (``hi``) first.
+
+    ``counts[hi - v]`` is the number of occurrences of value ``v``; leading
+    and trailing zeros are kept so that two vectors built over the same range
+    are comparable position by position, and compare lexicographically the
+    way the underlying multisets compare.
+    """
+
+    counts: tuple[int, ...]
+    hi: int
+    lo: int
+
+    def __post_init__(self) -> None:
+        if self.hi < self.lo:
+            raise ValueError("occurrence range is empty")
+        if len(self.counts) != self.hi - self.lo + 1:
+            raise ValueError("count vector does not match range")
+
+    def count_of(self, value: int) -> int:
+        return self.counts[self.hi - value]
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def cmp(self, other: "OccVector") -> Ordering:
+        if (self.hi, self.lo) != (other.hi, other.lo):
+            raise ValueError("occurrence vectors over different ranges")
+        return lex_cmp(self.counts, other.counts)
+
+
+def occ_of(vec: Iterable[int], hi: int, lo: int) -> OccVector:
+    """Occurrence vector of ``vec`` over the value range ``[lo, hi]``."""
+    counts = [0] * (hi - lo + 1)
+    for v in vec:
+        if not lo <= v <= hi:
+            raise ValueError(f"value {v} outside [{lo}, {hi}]")
+        counts[hi - v] += 1
+    return OccVector(tuple(counts), hi, lo)
+
+
 # -- fixpoint comparison --------------------------------------------------------
 
 

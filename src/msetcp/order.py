@@ -1,17 +1,11 @@
-"""Ground-vector comparisons: lexicographic and multiset orderings, occurrence vectors.
+"""Ground-vector comparisons: lexicographic and multiset orderings.
 
-Vectors are plain sequences of ints, index 0 most significant.  An occurrence
-vector counts, for every value in a range ``[lo, hi]``, how many times it
-appears in a source vector; counts are kept most-significant-value first so
-that two occurrence vectors over the same range compare lexicographically the
-same way the underlying multisets compare.
+Vectors are plain sequences of ints, index 0 most significant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
-from itertools import chain
 from typing import Iterable, Sequence
 
 
@@ -52,72 +46,3 @@ def mset_cmp(a: Iterable[int], b: Iterable[int]) -> Ordering:
     if len(sa) == len(sb):
         return Ordering.EQUAL
     return Ordering.LESS if len(sa) < len(sb) else Ordering.GREATER
-
-
-def floor_of(var_ids: Sequence[int], store) -> tuple[int, ...]:
-    """Every variable at its domain minimum."""
-    return tuple(store.min(v) for v in var_ids)
-
-
-def ceiling_of(var_ids: Sequence[int], store) -> tuple[int, ...]:
-    """Every variable at its domain maximum."""
-    return tuple(store.max(v) for v in var_ids)
-
-
-@dataclass(frozen=True)
-class OccVector:
-    """Occurrence counts over ``[lo, hi]``, most significant (``hi``) first.
-
-    ``counts[hi - v]`` is the number of occurrences of value ``v``; leading
-    and trailing zeros are kept so that two vectors built over the same range
-    are comparable position by position.
-    """
-
-    counts: tuple[int, ...]
-    hi: int
-    lo: int
-
-    def __post_init__(self) -> None:
-        if self.hi < self.lo:
-            raise ValueError("occurrence range is empty")
-        if len(self.counts) != self.hi - self.lo + 1:
-            raise ValueError("count vector does not match range")
-
-    def count_of(self, value: int) -> int:
-        return self.counts[self.hi - value]
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-    def cmp(self, other: "OccVector") -> Ordering:
-        if (self.hi, self.lo) != (other.hi, other.lo):
-            raise ValueError("occurrence vectors over different ranges")
-        return lex_cmp(self.counts, other.counts)
-
-
-def occ_of(vec: Iterable[int], hi: int, lo: int) -> OccVector:
-    """Occurrence vector of ``vec`` over the value range ``[lo, hi]``."""
-    counts = [0] * (hi - lo + 1)
-    for v in vec:
-        if not lo <= v <= hi:
-            raise ValueError(f"value {v} outside [{lo}, {hi}]")
-        counts[hi - v] += 1
-    return OccVector(tuple(counts), hi, lo)
-
-
-def normalize_values(
-    domains: Sequence[Iterable[int]],
-) -> tuple[dict[int, int], list[tuple[int, ...]]]:
-    """Rename domain values onto the contiguous range ``0..d-1``.
-
-    The renaming is the unique order isomorphism from the union of all domain
-    values onto ``{0, .., d-1}``; it preserves both lexicographic and multiset
-    comparison outcomes.  Returns the value->rank map and the renamed domains
-    (each a sorted tuple).
-    """
-    union = sorted(set(chain.from_iterable(domains)))
-    if not union:
-        raise ValueError("cannot normalize empty domains")
-    ranks = {v: i for i, v in enumerate(union)}
-    renamed = [tuple(ranks[v] for v in sorted(set(d))) for d in domains]
-    return ranks, renamed

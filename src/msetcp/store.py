@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from enum import IntFlag
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 
 class Inconsistent(Exception):
@@ -27,11 +27,6 @@ class EventKind(IntFlag):
 
     ANY = DOMAIN_CHANGED | MIN_CHANGED | MAX_CHANGED | INSTANTIATED
     BOUNDS = MIN_CHANGED | MAX_CHANGED
-
-
-class Event(NamedTuple):
-    var: int
-    kind: EventKind
 
 
 # Watcher signature: (var, old_min, old_max, new_min, new_max).
@@ -203,26 +198,6 @@ class Store:
             merged[var] = merged.get(var, EventKind(0)) | kinds
         self._events.clear()
         return list(merged.items())
-
-    def take_events(self) -> list[Event]:
-        """Drain pending events as one Event per (variable, kind).
-
-        Per variable and propagation round this yields at most one
-        MIN_CHANGED, one MAX_CHANGED and one INSTANTIATED event;
-        DOMAIN_CHANGED is reported only for interior-only removals.
-        """
-        out: list[Event] = []
-        for var, kinds in self.take_raw_events():
-            specific = kinds & (
-                EventKind.MIN_CHANGED | EventKind.MAX_CHANGED | EventKind.INSTANTIATED
-            )
-            if not specific:
-                out.append(Event(var, EventKind.DOMAIN_CHANGED))
-                continue
-            for bit in (EventKind.MIN_CHANGED, EventKind.MAX_CHANGED, EventKind.INSTANTIATED):
-                if kinds & bit:
-                    out.append(Event(var, bit))
-        return out
 
     def discard_events(self) -> None:
         self._events.clear()

@@ -2,10 +2,15 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import msetcp
 from msetcp.bench import (
     RunConfig,
     RunRecord,
@@ -369,3 +374,22 @@ class TestCli:
             ["--problem", "party", "--instance", data_path("party_toy.json")]
         )
         assert code == 0
+
+    def test_closed_stdout_pipe_keeps_exit_code(self):
+        """``bench ... | head -1``: the reader leaving early is no error."""
+        env = dict(os.environ, PYTHONPATH=str(Path(msetcp.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "msetcp.cli",
+                "--problem", "sport",
+                "--instance", data_path("sport_n5.json"),
+                "--symmetry", "mset",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()  # long before the child prints its first line
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        assert b"Traceback" not in err

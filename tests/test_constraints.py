@@ -71,11 +71,12 @@ def mset_via_sort(xdoms, ydoms, strict=False):
     return project(fixpoint(m), xs + ys)
 
 
-def mset_via_arith(xdoms, ydoms, strict=False):
+def mset_via_arith(xdoms, ydoms, strict=False, base=None):
     m = Model()
     xs = [m.new_var(d) for d in xdoms]
     ys = [m.new_var(d) for d in ydoms]
-    base = max(2, len(xs))
+    if base is None:
+        base = max(2, len(xs))
     m.post(ArithmeticMultiset(xs, ys, base, strict=strict))
     return project(fixpoint(m), xs + ys)
 
@@ -293,7 +294,7 @@ class TestArithmeticMultiset:
         p = ArithmeticMultiset(xs, ys, base=2)
         s.discard_events()
         p.post(s)
-        assert s.take_events() == []
+        assert s.take_raw_events() == []
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_fixpoint_equals_direct_filter(self, strict):
@@ -308,6 +309,31 @@ class TestArithmeticMultiset:
         ys = [s.new_var({0}) for _ in range(3)]
         with pytest.raises(ValueError):
             ArithmeticMultiset(xs, ys, base=2)  # base below vector length
+
+    def test_unequal_lengths_need_base_above_both_lengths(self):
+        # 3 * 3**0 == 3**1 would make {{0, 0, 0}} <m {{1}} look false
+        s = Store()
+        xs = [s.new_var({0}) for _ in range(3)]
+        ys = [s.new_var({1})]
+        with pytest.raises(ValueError):
+            ArithmeticMultiset(xs, ys, base=3, strict=True)
+        xd, yd = [{0}, {0}, {0}], [{1}]
+        gac = oracle.brute_force_gac(oracle.mset_less, xd, yd)
+        assert mset_via_arith(xd, yd, strict=True, base=4) == [set(d) for d in gac[0] + gac[1]]
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_unequal_lengths_match_oracle(self, strict):
+        checker = oracle.mset_less if strict else oracle.mset_leq
+        shapes = 0
+        for xd, yd in oracle.random_instances(
+            600, seed=85 + strict, max_len=4, max_values=4, equal_lengths=False
+        ):
+            shapes += len(xd) != len(yd)
+            gac = oracle.brute_force_gac(checker, xd, yd)
+            exp = None if gac is None else [set(d) for d in gac[0] + gac[1]]
+            got = mset_via_arith(xd, yd, strict, base=max(len(xd), len(yd)) + 1)
+            assert got == exp, (xd, yd)
+        assert shapes > 100
 
 
 class TestAllDifferent:

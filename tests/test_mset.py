@@ -9,7 +9,7 @@ from msetcp.mset import (
     NO_INDEX,
     MultisetOrdering,
     SortedMultisetOrdering,
-    filter_multiset_once,
+    StatelessMultisetOrdering,
 )
 from msetcp.store import Inconsistent, Store
 
@@ -101,7 +101,7 @@ class TestPruningExamples:
         p = MultisetOrdering(xs, ys)
         s.discard_events()
         p.post(s)
-        assert s.take_events() == []
+        assert s.take_raw_events() == []
 
     def test_strict_singleton(self):
         got, _, _ = fixpoint_domains([{1, 2}], [{1, 2}], strict=True)
@@ -222,10 +222,10 @@ class TestEntailment:
         assert p.entailed
 
     def test_point_in_time_check_false_before_pruning(self):
-        from msetcp.mset import multiset_entailed
-
         s, xs, ys = make([{0, 3}, {2}], [{2, 3}, {1}])
-        assert not multiset_entailed(s, xs, ys)
+        assert not oracle.brute_force_entailed(
+            oracle.mset_leq, [s.values(v) for v in xs], [s.values(v) for v in ys]
+        )
         # after GAC pruning (X_0 loses 3) every completion satisfies, so the
         # maintained flag comes up once propagation has run
         p = MultisetOrdering(xs, ys, entailment=True)
@@ -262,17 +262,36 @@ class TestEntailment:
             assert plain == tracked
 
 
+def stateless_domains(xdoms, ydoms, strict=False):
+    """One call of the stateless body; resulting domains, None on failure."""
+    s, xs, ys = make(xdoms, ydoms)
+    try:
+        StatelessMultisetOrdering(xs, ys, strict=strict).propagate(s)
+    except Inconsistent:
+        return None
+    return [set(s.values(v)) for v in xs + ys]
+
+
 class TestStatelessPass:
     def test_matches_incremental_filter(self):
         for xd, yd in oracle.random_instances(300, seed=6):
             ref, _, _ = fixpoint_domains(xd, yd)
-            s, xs, ys = make(xd, yd)
-            try:
-                filter_multiset_once(s, xs, ys)
-                got = [set(s.values(v)) for v in xs + ys]
-            except Inconsistent:
-                got = None
-            assert got == ref
+            assert stateless_domains(xd, yd) == ref
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_matches_oracle_on_unequal_lengths_and_sparse_values(self, strict):
+        """Values v -> 7v - 10 are negative and non-contiguous, so the rank
+        map renames every one of them."""
+        checker = oracle.mset_less if strict else oracle.mset_leq
+        shapes = 0
+        for xd, yd in oracle.random_instances(500, seed=100 + strict, equal_lengths=False):
+            xd = [{7 * v - 10 for v in d} for d in xd]
+            yd = [{7 * v - 10 for v in d} for d in yd]
+            shapes += len(xd) != len(yd)
+            gac = oracle.brute_force_gac(checker, xd, yd)
+            exp = None if gac is None else [set(d) for d in gac[0] + gac[1]]
+            assert stateless_domains(xd, yd, strict) == exp, (xd, yd)
+        assert shapes > 100  # the corpus genuinely exercises unequal lengths
 
 
 class TestDifferentialProperties:
@@ -329,7 +348,7 @@ class TestDifferentialProperties:
                 continue
             s.discard_events()
             p.propagate(s)
-            assert s.take_events() == []
+            assert s.take_raw_events() == []
 
     def test_monotone_and_one_sided(self):
         """Only max(X_i) and min(Y_i) move; domains only shrink; no wipe-out."""
@@ -413,7 +432,9 @@ class TestValidation:
         s = Store()
         v = s.new_var([1])
         w = s.new_var([1])
-        with pytest.raises(ValueError):
-            MultisetOrdering([v], [v])
-        with pytest.raises(ValueError):
-            MultisetOrdering([v, v], [w])
+        u = s.new_var([1])
+        for cls in (MultisetOrdering, SortedMultisetOrdering, StatelessMultisetOrdering):
+            with pytest.raises(ValueError):
+                cls([v], [v])
+            with pytest.raises(ValueError):
+                cls([v, v], [w, u])

@@ -5,15 +5,10 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from msetcp.order import (
-    OccVector,
-    Ordering,
-    lex_cmp,
-    mset_cmp,
-    normalize_values,
-    occ_of,
-    sort_desc,
-)
+from msetcp.mset import _rank_map
+from msetcp.oracle import OccVector, occ_of
+from msetcp.order import Ordering, lex_cmp, mset_cmp, sort_desc
+from msetcp.store import Store
 
 short_vec = st.lists(st.integers(0, 5), min_size=0, max_size=6)
 
@@ -97,24 +92,13 @@ class TestComparisonAgreement:
                     assert via_sort is expected
 
 
-class TestFloorCeiling:
-    def test_worked_vectors(self):
-        from msetcp.order import ceiling_of, floor_of
-        from msetcp.store import Store
-
-        s = Store()
-        xs = [s.new_var(d) for d in [{5}, {4, 5}, {3, 4, 5}, {2, 4}, {1}, {1}]]
-        ys = [s.new_var(d) for d in [{4, 5}, {4}, {1, 2, 3, 4}, {2, 3}, {1}, {0}]]
-        assert floor_of(xs, s) == (5, 4, 3, 2, 1, 1)
-        assert ceiling_of(ys, s) == (5, 4, 4, 3, 1, 0)
-
-    def test_singletons_floor_equals_ceiling(self):
-        from msetcp.order import ceiling_of, floor_of
-        from msetcp.store import Store
-
-        s = Store()
-        vs = [s.new_var({v}) for v in (3, 1, 4)]
-        assert floor_of(vs, s) == ceiling_of(vs, s) == (3, 1, 4)
+def normalize_values(domains):
+    """The filters' rank map over ``domains``, plus the renamed domains."""
+    s = Store()
+    vs = [s.new_var(d) for d in domains]
+    ranks, unrank = _rank_map(s, vs)
+    assert [ranks[v] for v in unrank] == list(range(len(unrank)))
+    return ranks, [tuple(ranks[v] for v in s.values(x)) for x in vs]
 
 
 class TestNormalizeValues:

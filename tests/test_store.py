@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from msetcp.store import Event, EventKind, Inconsistent, Store
+from msetcp.store import EventKind, Inconsistent, Store
 
 
 def test_new_var_sorts_and_dedups():
@@ -35,7 +35,7 @@ def test_noop_bound_changes_emit_no_event():
     s.discard_events()
     assert not s.set_max(v, 10)
     assert not s.set_min(v, -2)
-    assert s.take_events() == []
+    assert s.take_raw_events() == []
 
 
 def test_wipeout_raises():
@@ -51,27 +51,27 @@ def test_wipeout_raises():
 def test_event_kinds():
     s = Store()
     v = s.new_var([1, 2, 3, 4])
-    s.take_events()
+    s.take_raw_events()
     s.remove(v, 2)  # interior
-    assert s.take_events() == [Event(v, EventKind.DOMAIN_CHANGED)]
+    assert s.take_raw_events() == [(v, EventKind.DOMAIN_CHANGED)]
     s.set_max(v, 3)
-    assert s.take_events() == [Event(v, EventKind.MAX_CHANGED)]
+    assert s.take_raw_events() == [(v, EventKind.DOMAIN_CHANGED | EventKind.MAX_CHANGED)]
     s.assign(v, 3)
-    evs = s.take_events()
-    assert Event(v, EventKind.MIN_CHANGED) in evs
-    assert Event(v, EventKind.INSTANTIATED) in evs
+    assert s.take_raw_events() == [
+        (v, EventKind.DOMAIN_CHANGED | EventKind.MIN_CHANGED | EventKind.INSTANTIATED)
+    ]
 
 
 def test_events_coalesce_per_round():
     s = Store()
     v = s.new_var(range(10))
-    s.take_events()
+    s.take_raw_events()
     s.set_min(v, 2)
     s.set_min(v, 4)
     s.set_max(v, 7)
-    evs = s.take_events()
-    assert evs.count(Event(v, EventKind.MIN_CHANGED)) == 1
-    assert evs.count(Event(v, EventKind.MAX_CHANGED)) == 1
+    assert s.take_raw_events() == [
+        (v, EventKind.DOMAIN_CHANGED | EventKind.MIN_CHANGED | EventKind.MAX_CHANGED)
+    ]
 
 
 def test_restore_round_trip_exact():
