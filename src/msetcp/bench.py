@@ -506,8 +506,10 @@ def build_sport(instance: dict, cfg: RunConfig) -> BuiltModel:
     for j in range(periods):
         for w in range(real_weeks):
             m.post(TableConstraint([T[j][w][0], T[j][w][1], G[j][w]], triples))
+    # a real week's table triples already order its slots; only the dummy
+    # week (even n) needs the explicit order
     for j in range(periods):
-        for w in range(weeks):
+        for w in range(real_weeks, weeks):
             m.post(LessThan(T[j][w][0], T[j][w][1]))
 
     # only the real weeks are interchangeable (the dummy week, if any, is

@@ -68,10 +68,6 @@ class Model:
             self.names[name] = vid
         return vid
 
-    def new_vars(self, count: int, values: Iterable[int]) -> list[int]:
-        vals = tuple(values)
-        return [self.store.new_var(vals) for _ in range(count)]
-
     def post(self, prop: Propagator) -> None:
         self.propagators.append(prop)
 

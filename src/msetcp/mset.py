@@ -2,27 +2,33 @@
 
 Every propagator of the ordering derives from :class:`MultisetPair` (the two
 vectors, their validation, the wake-up events and the ground ``check``), and
-the filters share one core: a pointer/flag summary of how the floor of X
-(every ``min(X_i)``) compares with the ceiling of Y (every ``max(Y_i)``),
-then one pass, :func:`_prune`, that decides in constant time per variable the
-tight upper bound of every ``X_i`` and the tight lower bound of every ``Y_i``.
-Only those bounds are ever touched, so a single pass reaches the generalised
-arc consistent fixpoint and no pruning can wipe out a domain once
-disentailment has been ruled out.
+the three filters share one core.  :func:`_summary` is the pointer/flag scan:
+from how often each value occurs in the floor of X (every ``min(X_i)``) and
+in the ceiling of Y (every ``max(Y_i)``) it finds, in value space, where the
+two first differ.  :func:`_prune` then decides in constant time per variable
+the tight upper bound of every ``X_i`` and the tight lower bound of every
+``Y_i``.  Only those bounds are ever touched, so a single pass reaches the
+generalised arc consistent fixpoint and no pruning can wipe out a domain
+once disentailment has been ruled out.
 
-:class:`MultisetOrdering` takes the summary from occurrence vectors over the
-values renamed onto ``0..d-1``, in time linear in the vector length plus the
-number of distinct values; :class:`StatelessMultisetOrdering` runs the same
-pass on vectors rebuilt at every call, which suits conditional bodies.
-:class:`SortedMultisetOrdering` takes it from descending sorted vectors, at a
-cost independent of the size of the value range.  The two dedicated filters
+The filters differ only in where the counts come from.
+:class:`MultisetOrdering` keeps occurrence vectors over the values renamed
+onto ``0..d-1`` at post time, in time linear in the vector length plus the
+number of distinct values.  :class:`SortedMultisetOrdering` keeps descending
+sorted vectors and merges them into run-length counts on every call
+(:func:`_runs`), as far as the scan reads, at a cost independent of the size
+of the value range.
+:class:`StatelessMultisetOrdering` sorts its bounds and runs the same merge
+on every call, which suits conditional bodies.  The two dedicated filters
 keep their vectors in step through bound watchers, across backtracking too.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort_left
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from operator import neg
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .engine import Propagator, Status
 from .order import Ordering, mset_cmp
@@ -33,31 +39,22 @@ NO_INDEX = float("-inf")
 
 @dataclass(frozen=True)
 class Flags:
-    """Summary of the lex relation between the two maintained count vectors.
+    """Pointer/flag summary of the floor of X against the ceiling of Y.
 
-    ``first_lt``: most significant value index where the X-side count is below
-    the Y-side count, everything above being pairwise equal (NO_INDEX when the
-    vectors are equal).  ``first_gt``: most significant index below
-    ``first_lt`` where the X-side count exceeds the Y-side one, with no
-    X-above-Y index in between (NO_INDEX when absent).  ``flat_between``:
-    whether the counts agree at every index strictly between the two.
-    ``tail_wrong``: whether the counts below ``first_gt`` compare the wrong
-    way; under the strict constraint a tie below ``first_gt`` (or ``first_gt``
-    sitting at the bottom of the range) also counts as wrong.
+    Both pointers are values.  ``first_lt``: the largest value whose count
+    among the ``min(X_i)`` is below its count among the ``max(Y_i)``, every
+    larger value being counted equally (NO_INDEX when the two multisets are
+    equal).  ``first_gt``: the largest value below ``first_lt`` counted more
+    often on the X side (NO_INDEX when absent).  ``flat_between``: whether the
+    counts agree at every value strictly between the two.  ``tail_wrong``:
+    whether the counts below ``first_gt`` compare the wrong way; under the
+    strict constraint a tie below ``first_gt`` also counts as wrong.
     """
 
     first_lt: float
     first_gt: float
     flat_between: bool
     tail_wrong: bool
-
-
-class _IdentityMap:
-    def __getitem__(self, v: int) -> int:
-        return v
-
-
-_IDENTITY = _IdentityMap()
 
 
 def _rank_map(store: Store, variables: Iterable[int]) -> tuple[dict[int, int], list[int]]:
@@ -84,46 +81,70 @@ def _occurrence_counts(
     return counts
 
 
-def _occ_flags(xc: Sequence[int], yc: Sequence[int], strict: bool) -> Flags:
-    """Pointer/flag scan over two count vectors indexed by value rank.
+def _sorted_bounds(
+    store: Store, xs: Sequence[int], ys: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """Every ``min(X_i)`` and every ``max(Y_i)``, each sorted descending."""
+    return sorted(map(store.min, xs), reverse=True), sorted(map(store.max, ys), reverse=True)
 
-    Raises Inconsistent exactly when the constraint is disentailed: the X
-    counts compare lex-greater (weak) or lex-greater-or-equal (strict).
+
+def _runs(sx: Sequence[int], sy: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """Run-length counts of two descending sorted vectors, for :func:`_summary`.
+
+    Yields ``(value, count in sx, count in sy)`` for each distinct value,
+    largest first, merging only as far as the caller reads.
     """
-    i = len(xc) - 1
-    while i >= 0 and xc[i] == yc[i]:
-        i -= 1
-    if i < 0:
+    i = j = 0
+    nx, ny = len(sx), len(sy)
+    while i < nx or j < ny:
+        v = sx[i] if j == ny or (i < nx and sx[i] > sy[j]) else sy[j]
+        top = i
+        while i < nx and sx[i] == v:
+            i += 1
+        cx = i - top
+        top = j
+        while j < ny and sy[j] == v:
+            j += 1
+        yield v, cx, j - top
+
+
+def _summary(
+    runs: Iterable[tuple[int, int, int]], strict: bool
+) -> tuple[Flags, int, int, int, int]:
+    """The pointer/flag scan over the floor counts of X and ceiling counts of Y.
+
+    ``runs`` gives ``(value, X count, Y count)`` from the largest value down;
+    a value that neither side holds may be left out, as it cannot change the
+    lex comparison, and the scan reads only as far as it needs.  Returns the
+    flags in value space and the X and Y counts at ``first_lt`` and at
+    ``first_gt`` (zero at NO_INDEX).  Raises Inconsistent exactly when the
+    constraint is disentailed: the X counts compare lex-greater (weak) or
+    lex-greater-or-equal (strict).
+    """
+    runs = iter(runs)
+    for lt, x_at_lt, y_at_lt in runs:
+        if x_at_lt != y_at_lt:
+            break
+    else:
         if strict:
             raise Inconsistent("multiset ordering: equal bounds forbid strict order")
-        return Flags(NO_INDEX, NO_INDEX, False, False)
-    if xc[i] > yc[i]:
+        return Flags(NO_INDEX, NO_INDEX, False, False), 0, 0, 0, 0
+    if x_at_lt > y_at_lt:
         raise Inconsistent("multiset ordering disentailed")
-    first_lt = i
     flat = True
-    j = i - 1
-    while j >= 0 and xc[j] <= yc[j]:
-        if xc[j] < yc[j]:
+    for gt, x_at_gt, y_at_gt in runs:
+        if x_at_gt > y_at_gt:
+            break
+        if x_at_gt < y_at_gt:
             flat = False
-        j -= 1
-    first_gt = j if j >= 0 else NO_INDEX
-    flat_between = first_gt is not NO_INDEX and flat
-    if first_gt is NO_INDEX:
-        tail_wrong = False
-    elif not strict:
-        k = first_gt - 1
-        while k >= 0 and xc[k] == yc[k]:
-            k -= 1
-        tail_wrong = k >= 0 and xc[k] > yc[k]
     else:
-        if first_gt == 0:
-            tail_wrong = True
-        else:
-            k = first_gt - 1
-            while k >= 0 and xc[k] == yc[k]:
-                k -= 1
-            tail_wrong = k < 0 or xc[k] > yc[k]
-    return Flags(first_lt, first_gt, flat_between, tail_wrong)
+        return Flags(lt, NO_INDEX, False, False), x_at_lt, y_at_lt, 0, 0
+    tail_wrong = strict
+    for _, cx, cy in runs:
+        if cx != cy:
+            tail_wrong = cx > cy
+            break
+    return Flags(lt, gt, flat, tail_wrong), x_at_lt, y_at_lt, x_at_gt, y_at_gt
 
 
 def _prune(
@@ -135,77 +156,40 @@ def _prune(
     y_at_lt: int,
     x_at_gt: int,
     y_at_gt: int,
-    rank,
-    unrank,
 ) -> None:
     """Tighten max(X_i) and min(Y_i) for every i to their supported values.
 
-    ``x_at_lt`` and the other three are the floor and ceiling counts at the
-    two flag positions; ``rank``/``unrank`` map values to flag positions.
+    Takes what :func:`_summary` returns.  Domain bounds are compared with the
+    flag values directly; "below ``first_lt``" is ``first_lt - 1`` and
+    "above ``first_gt``" is ``first_gt + 1``, which cut exactly where the
+    neighbouring counted values would, as the domains are integers.
     """
     lt, gt = fl.first_lt, fl.first_gt
     critical = fl.flat_between and x_at_lt + 1 == y_at_lt
+    # whether one unit less of the X surplus at first_gt still leaves the X
+    # counts ahead from first_gt down
+    past_gt = fl.tail_wrong or x_at_gt != y_at_gt + 1
     for x in xs:
         vals = store.values(x)
         mn = vals[0]
         if mn == vals[-1]:
             continue
-        rmn = rank[mn]
-        if rmn >= lt:
+        if mn >= lt:
             store.set_max(x, mn)
-            continue
-        if rank[vals[-1]] >= lt:
-            store.set_max(x, unrank[lt])
-            if critical:
-                if rmn == gt:
-                    if x_at_gt == y_at_gt + 1:
-                        if fl.tail_wrong:
-                            store.set_max(x, unrank[lt - 1])
-                    else:
-                        store.set_max(x, unrank[lt - 1])
-                elif rmn < gt:
-                    store.set_max(x, unrank[lt - 1])
+        elif vals[-1] >= lt:
+            if critical and (mn < gt or (mn == gt and past_gt)):
+                store.set_max(x, lt - 1)
+            else:
+                store.set_max(x, lt)
     for y in ys:
         vals = store.values(y)
         mx = vals[-1]
         if vals[0] == mx:
             continue
-        rmx = rank[mx]
-        if rmx > lt:
+        if mx > lt:
             store.set_min(y, mx)
-            continue
-        if rmx == lt and rank[vals[0]] <= gt:
-            if critical:
-                store.set_min(y, unrank[gt])
-                if x_at_gt == y_at_gt + 1:
-                    if fl.tail_wrong:
-                        store.set_min(y, unrank[gt + 1])
-                else:
-                    store.set_min(y, unrank[gt + 1])
-
-
-def _filter_counts(
-    store: Store,
-    xs: Sequence[int],
-    ys: Sequence[int],
-    xc: Sequence[int],
-    yc: Sequence[int],
-    strict: bool,
-    rank,
-    unrank,
-) -> Flags:
-    """One GAC pass from the floor counts ``xc`` and ceiling counts ``yc``.
-
-    Returns the flags in rank space; raises Inconsistent on disentailment.
-    """
-    fl = _occ_flags(xc, yc, strict)
-    lt, gt = fl.first_lt, fl.first_gt
-    x_at_lt = xc[lt] if lt is not NO_INDEX else 0
-    y_at_lt = yc[lt] if lt is not NO_INDEX else 0
-    x_at_gt = xc[gt] if gt is not NO_INDEX else 0
-    y_at_gt = yc[gt] if gt is not NO_INDEX else 0
-    _prune(store, xs, ys, fl, x_at_lt, y_at_lt, x_at_gt, y_at_gt, rank, unrank)
-    return fl
+        elif critical and mx == lt and vals[0] <= gt:
+            store.set_min(y, gt + 1 if past_gt else gt)
 
 
 class MultisetPair(Propagator):
@@ -341,12 +325,6 @@ class MultisetOrdering(MultisetPair):
 
         store.trail_undo(undo)
 
-    def _flags_to_values(self, fl: Flags) -> Flags:
-        unrank = self._unrank
-        lt = unrank[fl.first_lt] if fl.first_lt is not NO_INDEX else NO_INDEX
-        gt = unrank[fl.first_gt] if fl.first_gt is not NO_INDEX else NO_INDEX
-        return Flags(lt, gt, fl.flat_between, fl.tail_wrong)
-
     def propagate(self, store: Store) -> Status:
         if self.track_entailment:
             if self.entailed:
@@ -354,11 +332,10 @@ class MultisetOrdering(MultisetPair):
             if self.entailment_holds():
                 self._mark_entailed(store)
                 return Status.ENTAILED
-        fl = _filter_counts(
-            store, self.xs, self.ys, self.xmin_counts, self.ymax_counts,
-            self.strict, self._rank, self._unrank,
-        )
-        self.last_flags = self._flags_to_values(fl)
+        runs = zip(reversed(self._unrank), reversed(self.xmin_counts), reversed(self.ymax_counts))
+        fl, *counts = _summary(runs, self.strict)
+        _prune(store, self.xs, self.ys, fl, *counts)
+        self.last_flags = fl
         if self.track_entailment and self.entailment_holds():
             self._mark_entailed(store)
             return Status.ENTAILED
@@ -366,23 +343,19 @@ class MultisetOrdering(MultisetPair):
 
 
 class StatelessMultisetOrdering(MultisetPair):
-    """Occurrence filter that rebuilds its count vectors on every call.
+    """Filter that sorts its bounds afresh on every call.
 
     Prunes exactly like :class:`MultisetOrdering` but keeps no post-time
     state, which makes it a valid :class:`~msetcp.constraints.Conditional`
-    body: its ``propagate`` may first run at any search depth.
+    body: its ``propagate`` may first run at any search depth.  Each call
+    sorts ``min(X_i)`` and ``max(Y_i)`` and merges them into run-length
+    counts, as :class:`SortedMultisetOrdering` does with its kept vectors.
     """
 
     def propagate(self, store: Store) -> Status:
         xs, ys = self.xs, self.ys
-        rank, unrank = _rank_map(store, xs + ys)
-        d = len(unrank)
-        _filter_counts(
-            store, xs, ys,
-            _occurrence_counts(rank, d, store.min, xs),
-            _occurrence_counts(rank, d, store.max, ys),
-            self.strict, rank, unrank,
-        )
+        runs = _runs(*_sorted_bounds(store, xs, ys))
+        _prune(store, xs, ys, *_summary(runs, self.strict))
         return Status.ACTIVE
 
 
@@ -390,17 +363,15 @@ class SortedMultisetOrdering(MultisetPair):
     """Sorted-vector filter for ``{{X}} <=m {{Y}}`` (``<m`` with strict).
 
     Keeps ``min(X_i)`` and ``max(Y_i)`` as descending sorted vectors and
-    derives the same pointer/flag summary (plus the four counts it needs) by
-    scanning them, so no per-value count array is ever built.  Bound changes
-    are folded in by binary-search remove/insert.  Requires equal-length
-    vectors: with them, the scan may rely on the X-above-Y index existing
-    whenever the vectors differ.
+    merges them on every call, as far as the shared scan reads, into
+    run-length counts over the values they hold, so a call costs time linear
+    in the vector length, independent of the size of the value range, and no
+    per-value count array is ever kept.  Bound changes are folded in by
+    binary-search remove/insert.  The vectors may have different lengths.
     """
 
     def __init__(self, xs: Sequence[int], ys: Sequence[int], strict: bool = False) -> None:
         super().__init__(xs, ys, strict)
-        if len(xs) != len(ys):
-            raise ValueError("sorted-vector filter requires equal-length vectors")
         self.xmin_sorted: list[int] = []
         self.ymax_sorted: list[int] = []
         self.last_flags: Optional[Flags] = None
@@ -416,22 +387,11 @@ class SortedMultisetOrdering(MultisetPair):
     # -- incremental maintenance -------------------------------------------------
 
     @staticmethod
-    def _desc_pos(lst: list[int], value: int) -> int:
-        """Leftmost index whose element is <= value (binary search)."""
-        lo, hi = 0, len(lst)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if lst[mid] > value:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    def _replace(self, lst: list[int], old: int, new: int) -> None:
-        i = self._desc_pos(lst, old)
+    def _replace(lst: list[int], old: int, new: int) -> None:
+        i = bisect_left(lst, -old, key=neg)
         assert lst[i] == old, "stale sorted vector"
         del lst[i]
-        lst.insert(self._desc_pos(lst, new), new)
+        insort_left(lst, new, key=neg)
 
     def _x_bounds_changed(self, var, old_min, old_max, new_min, new_max) -> None:
         if new_min != old_min:
@@ -442,91 +402,16 @@ class SortedMultisetOrdering(MultisetPair):
             self._replace(self.ymax_sorted, old_max, new_max)
 
     def rebuilt_sorted(self, store: Store) -> tuple[list[int], list[int]]:
-        return (
-            sorted((store.min(x) for x in self.xs), reverse=True),
-            sorted((store.max(y) for y in self.ys), reverse=True),
-        )
+        return _sorted_bounds(store, self.xs, self.ys)
 
-    # -- flag scan ----------------------------------------------------------------
+    # -- filtering ----------------------------------------------------------------
 
     def flags(self) -> tuple[Flags, int, int, int, int]:
-        """Pointer/flag summary plus the four counts, from the sorted vectors.
-
-        Raises Inconsistent on disentailment.  When the sorted vectors are
-        equal, returns early with empty pointers and zero counts.
-        """
-        sx, sy = self.xmin_sorted, self.ymax_sorted
-        n = len(sx)
-        i = 0
-        while i < n and sx[i] == sy[i]:
-            i += 1
-        if i == n:
-            if self.strict:
-                raise Inconsistent("multiset ordering: equal bounds forbid strict order")
-            return Flags(NO_INDEX, NO_INDEX, False, False), 0, 0, 0, 0
-        if sx[i] > sy[i]:
-            raise Inconsistent("multiset ordering disentailed")
-        first_lt = sy[i]
-        flat = True
-        j = i + 1
-        while j < n and sy[j] == sy[j - 1]:
-            j += 1
-        if j == n:
-            first_gt = sx[i]
-        else:
-            first_gt = None
-            while i < n and j < n:
-                if sx[i] > sy[j]:
-                    first_gt = sx[i]
-                    break
-                if sx[i] < sy[j]:
-                    flat = False
-                    j += 1
-                else:
-                    i += 1
-                    j += 1
-            if first_gt is None:
-                assert i < n, "equal-length invariant violated"
-                first_gt = sx[i]
-        # tail scan: compare what remains below first_gt on each side
-        k = i + 1
-        while k < n and sx[k] == sx[k - 1]:
-            k += 1
-        if k == n:
-            tail_wrong = self.strict and j >= n
-        else:
-            while k < n and j < n:
-                if sx[k] > sy[j]:
-                    tail_wrong = True
-                    break
-                if sx[k] < sy[j]:
-                    tail_wrong = False
-                    break
-                k += 1
-                j += 1
-            else:
-                if k == n:
-                    tail_wrong = self.strict and j == n
-                else:
-                    tail_wrong = True  # Y side exhausted first
-        x_at_lt = y_at_lt = x_at_gt = y_at_gt = 0
-        for t in range(n):
-            v = sx[t]
-            if v == first_lt:
-                x_at_lt += 1
-            elif v == first_gt:
-                x_at_gt += 1
-            w = sy[t]
-            if w == first_lt:
-                y_at_lt += 1
-            elif w == first_gt:
-                y_at_gt += 1
-        return Flags(first_lt, first_gt, flat, tail_wrong), x_at_lt, y_at_lt, x_at_gt, y_at_gt
+        """Pointer/flag summary plus the four counts, from the sorted vectors."""
+        return _summary(_runs(self.xmin_sorted, self.ymax_sorted), self.strict)
 
     def propagate(self, store: Store) -> Status:
-        fl, x_at_lt, y_at_lt, x_at_gt, y_at_gt = self.flags()
+        fl, *counts = self.flags()
+        _prune(store, self.xs, self.ys, fl, *counts)
         self.last_flags = fl
-        _prune(
-            store, self.xs, self.ys, fl, x_at_lt, y_at_lt, x_at_gt, y_at_gt, _IDENTITY, _IDENTITY
-        )
         return Status.ACTIVE

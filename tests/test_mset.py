@@ -203,11 +203,6 @@ class TestSortedVariant:
         assert p.ymax_sorted == [5, 4, 4, 3, 1, 1, 1, 0]
         assert p.rebuilt_sorted(s)[1] == p.ymax_sorted
 
-    def test_unequal_lengths_rejected(self):
-        s, xs, ys = make([{1}, {1}], [{1}])
-        with pytest.raises(ValueError):
-            SortedMultisetOrdering(xs, ys)
-
 
 class TestEntailment:
     def test_entailed_after_pruning(self):
@@ -278,10 +273,16 @@ class TestStatelessPass:
             ref, _, _ = fixpoint_domains(xd, yd)
             assert stateless_domains(xd, yd) == ref
 
+    @pytest.mark.parametrize(
+        "cls",
+        [StatelessMultisetOrdering, MultisetOrdering, SortedMultisetOrdering],
+        ids=lambda cls: cls.__name__,
+    )
     @pytest.mark.parametrize("strict", [False, True])
-    def test_matches_oracle_on_unequal_lengths_and_sparse_values(self, strict):
-        """Values v -> 7v - 10 are negative and non-contiguous, so the rank
-        map renames every one of them."""
+    def test_matches_oracle_on_unequal_lengths_and_sparse_values(self, strict, cls):
+        """Values v -> 7v - 10 are negative and leave gaps, so a cut one below
+        ``first_lt`` or one above ``first_gt`` lands between domain values.
+        ``post`` runs the stateless body once and sets up the other two."""
         checker = oracle.mset_less if strict else oracle.mset_leq
         shapes = 0
         for xd, yd in oracle.random_instances(500, seed=100 + strict, equal_lengths=False):
@@ -290,7 +291,13 @@ class TestStatelessPass:
             shapes += len(xd) != len(yd)
             gac = oracle.brute_force_gac(checker, xd, yd)
             exp = None if gac is None else [set(d) for d in gac[0] + gac[1]]
-            assert stateless_domains(xd, yd, strict) == exp, (xd, yd)
+            s, xs, ys = make(xd, yd)
+            try:
+                cls(xs, ys, strict=strict).post(s)
+                got = [set(s.values(v)) for v in xs + ys]
+            except Inconsistent:
+                got = None
+            assert got == exp, (xd, yd)
         assert shapes > 100  # the corpus genuinely exercises unequal lengths
 
 
@@ -390,11 +397,10 @@ class TestIncrementalEqualsBatch:
             )
             s, xs, ys = make(xd, yd)
             occ = MultisetOrdering(xs, ys, entailment=True)
-            srt = SortedMultisetOrdering(xs, ys) if len(xd) == len(yd) else None
+            srt = SortedMultisetOrdering(xs, ys)
             try:
                 occ.post(s)
-                if srt:
-                    srt.post(s)
+                srt.post(s)
             except Inconsistent:
                 continue
             depth = 0
@@ -423,8 +429,7 @@ class TestIncrementalEqualsBatch:
                 assert list(rebuilt[1]) == occ.ymax_counts
                 assert list(rebuilt[2]) == occ.xmax_counts
                 assert list(rebuilt[3]) == occ.ymin_counts
-                if srt:
-                    assert srt.rebuilt_sorted(s) == (srt.xmin_sorted, srt.ymax_sorted)
+                assert srt.rebuilt_sorted(s) == (srt.xmin_sorted, srt.ymax_sorted)
 
 
 class TestValidation:
