@@ -127,15 +127,16 @@ class Cardinality(Propagator):
 
     def propagate(self, store: Store) -> Status:
         xs = self.xs
+        domain = store.values
         changed = True
         while changed:
             changed = False
             for val, o in zip(self.vals, self.occ):
                 fixed = 0
                 cands = []
-                for x in xs:
-                    if store.contains(x, val):
-                        if store.is_fixed(x):
+                for x, dom in zip(xs, map(domain, xs)):
+                    if val in dom:
+                        if len(dom) == 1:
                             fixed += 1
                         else:
                             cands.append(x)
@@ -331,19 +332,22 @@ class AllDifferent(Propagator):
 
     def propagate(self, store: Store) -> Status:
         xs = self.xs
+        domain = store.values
         done: set[int] = set()
         while True:
             progress = False
             for x in xs:
-                if x in done or not store.is_fixed(x):
+                if x in done:
                     continue
-                val = store.min(x)
+                dom = domain(x)
+                if len(dom) != 1:
+                    continue
+                val = dom[0]
                 for other in xs:
-                    if other != x:
-                        if store.is_fixed(other) and store.min(other) == val:
+                    if other != x and val in domain(other):
+                        if len(domain(other)) == 1:
                             raise Inconsistent("all-different: duplicate value")
-                        if store.remove(other, val):
-                            progress = True
+                        store.remove(other, val)
                 done.add(x)
                 progress = True
             if not progress:
@@ -373,10 +377,14 @@ class TableConstraint(Propagator):
 
     def propagate(self, store: Store) -> Status:
         xs = self.xs
+        doms = [set(store.values(x)) for x in xs]
         supported = [set() for _ in xs]
         alive = 0
         for t in self.tuples:
-            if all(store.contains(x, v) for x, v in zip(xs, t)):
+            for dom, v in zip(doms, t):
+                if v not in dom:
+                    break
+            else:
                 alive += 1
                 for s, v in zip(supported, t):
                     s.add(v)

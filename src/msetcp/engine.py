@@ -1,11 +1,14 @@
 """Constraint network and search: fixpoint loop, DFS labelling, branch and bound.
 
-Propagators subscribe to variable events through a mask; the fixpoint loop is
-a FIFO queue with per-propagator deduplication.  A propagator that reports
-ENTAILED is deactivated for the rest of the branch (the flag is trailed, so
-backtracking reactivates it).  Search uses static variable orders with
-per-model value orders; every emitted solution is re-checked against the
-ground semantics of all posted constraints.
+Propagators subscribe to variable events through an int mask; the fixpoint
+loop is a FIFO queue with per-propagator deduplication.  A propagator that
+reports ENTAILED is deactivated for the rest of the branch (the flag is
+trailed, so backtracking reactivates it).  Search uses static variable orders
+with per-model value orders.  The DFS keeps its open nodes on an explicit
+stack, so its depth is not bounded by the interpreter's recursion limit, and
+each node resumes the scan for the next unfixed variable where its parent's
+scan stopped (domains only shrink down a branch).  Every emitted solution is
+re-checked against the ground semantics of all posted constraints.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .store import EventKind, Inconsistent, Store
+from .store import Inconsistent, Store
 
 
 class Status(Enum):
@@ -38,7 +41,7 @@ class Propagator:
     semantic test used to verify emitted solutions independently.
     """
 
-    def subscriptions(self) -> Iterable[tuple[int, EventKind]]:
+    def subscriptions(self) -> Iterable[tuple[int, int]]:
         return ()
 
     def post(self, store: Store) -> Status:
@@ -120,7 +123,7 @@ class Solver:
         self.store = model.store
         self.props = list(model.propagators)
         n = len(self.props)
-        self._subs: dict[int, list[tuple[int, EventKind]]] = {}
+        self._subs: dict[int, list[tuple[int, int]]] = {}
         for idx, prop in enumerate(self.props):
             for var, mask in prop.subscriptions():
                 self._subs.setdefault(var, []).append((idx, mask))
@@ -141,12 +144,14 @@ class Solver:
 
         self.store.trail_undo(undo)
 
-    def _wake_for(self, raw_events: list[tuple[int, EventKind]]) -> None:
+    def _wake_for(self, raw_events: list[tuple[int, int]]) -> None:
+        subs, active, queued = self._subs, self._active, self._queued
+        enqueue = self._queue.append
         for var, kinds in raw_events:
-            for idx, mask in self._subs.get(var, ()):
-                if mask & kinds and self._active[idx] and not self._queued[idx]:
-                    self._queued[idx] = True
-                    self._queue.append(idx)
+            for idx, mask in subs.get(var, ()):
+                if mask & kinds and active[idx] and not queued[idx]:
+                    queued[idx] = True
+                    enqueue(idx)
 
     def fixpoint(self) -> None:
         """Run queued propagators until no propagator changes any domain."""
@@ -204,6 +209,27 @@ class Solver:
                     f"solution violates {type(prop).__name__}: propagation is unsound"
                 )
 
+    def _branch(self, var: int, values: Iterator[int]) -> bool:
+        """Open the next child: push a checkpoint and assign ``var`` the next
+        value of ``values`` whose propagation does not fail.  False once
+        ``values`` is used up, with no checkpoint left behind."""
+        store = self.store
+        stats = self.stats
+        for val in values:
+            if not store.contains(var, val):
+                continue  # bound propagation inside this loop may prune
+            store.push()
+            stats.choice_points += 1
+            try:
+                store.assign(var, val)
+                self._wake_for(store.take_raw_events())
+                self.fixpoint()
+                return True
+            except Inconsistent:
+                stats.fails += 1
+                store.pop()
+        return False
+
     def solve(
         self,
         branching: Branching,
@@ -230,48 +256,59 @@ class Solver:
                 return None, stats
             store = self.store
             value_order = branching.value_order
-
-            def dfs() -> bool:
-                nonlocal best_sol, bound
+            is_fixed = store.is_fixed
+            n = len(order)
+            # One frame per open node: (var, its index in order, the values
+            # not tried yet).  On entering a node the store holds one
+            # checkpoint per frame (none at the root); while the deepest frame
+            # picks its next child, it holds one fewer.
+            stack: list[tuple[int, int, Iterator[int]]] = []
+            index = 0
+            while True:
                 self._check_deadline()
-                if minimize is not None and bound is not None:
-                    # may raise Inconsistent, caught at the parent choice point
-                    if store.set_max(minimize, bound - 1):
+                opened = False
+                try:
+                    if bound is not None and store.set_max(minimize, bound - 1):
                         self._wake_for(store.take_raw_events())
                         self.fixpoint()
-                var = next((v for v in order if not store.is_fixed(v)), None)
-                if var is None:
-                    sol = self._snapshot()
-                    self._verify(sol)
-                    stats.solutions += 1
-                    best_sol = sol
-                    if minimize is not None:
-                        bound = sol[minimize]
-                        stats.best_objective = bound
-                        return first_only
-                    return True
-                for val in value_order(var, store.values(var)):
-                    if not store.contains(var, val):
-                        continue  # bound propagation inside this loop may prune
-                    store.push()
-                    stats.choice_points += 1
-                    try:
-                        store.assign(var, val)
-                        self._wake_for(store.take_raw_events())
-                        self.fixpoint()
-                        if dfs():
-                            store.pop()
-                            return True
-                    except Inconsistent:
-                        stats.fails += 1
+                except Inconsistent:
+                    stats.fails += 1  # charged to the choice that led here
+                else:
+                    # order[:index] was fixed at the parent, and domains only
+                    # shrink down a branch, so the scan resumes there
+                    while index < n and is_fixed(order[index]):
+                        index += 1
+                    if index < n:
+                        var = order[index]
+                        stack.append((var, index, iter(value_order(var, store.values(var)))))
+                        opened = True
+                    else:
+                        sol = self._snapshot()
+                        self._verify(sol)
+                        stats.solutions += 1
+                        best_sol = sol
+                        if minimize is not None:
+                            bound = sol[minimize]
+                            stats.best_objective = bound
+                        if minimize is None or first_only:
+                            for _ in stack:
+                                store.pop()
+                            return best_sol, stats
+                if not opened:
+                    if not stack:
+                        break  # the root itself closed
                     store.pop()
-                return False
-
-            try:
-                dfs()
-            except Inconsistent:
-                # bound tightening at the root exhausted the search
-                stats.fails += 1
+                # descend into the next child of the deepest open node,
+                # closing the nodes whose values are used up
+                while stack:
+                    var, index, values = stack[-1]
+                    if self._branch(var, values):
+                        break
+                    stack.pop()
+                    if stack:
+                        store.pop()
+                else:
+                    break
             return best_sol, stats
         finally:
             stats.wall_time = time.monotonic() - start

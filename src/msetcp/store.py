@@ -5,13 +5,14 @@ recorded on a trail so that :meth:`Store.pop` restores each domain bit-exactly
 to its state at the matching :meth:`Store.push`.  Bound watchers fire on every
 min/max transition, in both directions (shrink and restore), which lets
 propagators keep derived state such as occurrence vectors in sync with the
-domains at all times.
+domains at all times.  Modification events are plain int bit masks (the
+:class:`EventKind` constants), so building, merging and testing them costs
+one int operation each.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from enum import IntFlag
 from typing import Callable, Iterable
 
 
@@ -19,7 +20,9 @@ class Inconsistent(Exception):
     """A domain was wiped out or a constraint proved disentailed."""
 
 
-class EventKind(IntFlag):
+class EventKind:
+    """Event bits, plain ints: a kind mask is an OR of these constants."""
+
     DOMAIN_CHANGED = 1
     MIN_CHANGED = 2
     MAX_CHANGED = 4
@@ -45,7 +48,7 @@ class Store:
         self._trail: list[tuple] = []
         self._marks: list[int] = []
         self._watchers: list[list[BoundWatcher]] = []
-        self._events: list[tuple[int, EventKind]] = []
+        self._events: list[tuple[int, int]] = []
 
     # -- variables ---------------------------------------------------------
 
@@ -92,15 +95,16 @@ class Store:
         old = self._values[var]
         self._trail.append((var, old))
         self._values[var] = new_vals
-        kinds = EventKind.DOMAIN_CHANGED
+        # EventKind bits as int literals: no attribute lookup per shrink
+        kinds = 1  # DOMAIN_CHANGED
         if new_vals[0] != old[0]:
-            kinds |= EventKind.MIN_CHANGED
+            kinds |= 2  # MIN_CHANGED
         if new_vals[-1] != old[-1]:
-            kinds |= EventKind.MAX_CHANGED
+            kinds |= 4  # MAX_CHANGED
         if len(new_vals) == 1 and len(old) > 1:
-            kinds |= EventKind.INSTANTIATED
+            kinds |= 8  # INSTANTIATED
         self._events.append((var, kinds))
-        if kinds & EventKind.BOUNDS:
+        if kinds & 6:  # BOUNDS
             for cb in self._watchers[var]:
                 cb(var, old[0], old[-1], new_vals[0], new_vals[-1])
 
@@ -189,13 +193,13 @@ class Store:
     def watch_bounds(self, var: int, cb: BoundWatcher) -> None:
         self._watchers[var].append(cb)
 
-    def take_raw_events(self) -> list[tuple[int, EventKind]]:
+    def take_raw_events(self) -> list[tuple[int, int]]:
         """Drain pending (var, kind-mask) pairs, coalesced per variable."""
         if not self._events:
             return []
-        merged: dict[int, EventKind] = {}
+        merged: dict[int, int] = {}
         for var, kinds in self._events:
-            merged[var] = merged.get(var, EventKind(0)) | kinds
+            merged[var] = merged.get(var, 0) | kinds
         self._events.clear()
         return list(merged.items())
 

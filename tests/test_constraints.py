@@ -19,7 +19,7 @@ from msetcp.constraints import (
 )
 from msetcp.engine import Model, propagate_to_fixpoint
 from msetcp.mset import MultisetOrdering
-from msetcp.store import Store
+from msetcp.store import Inconsistent, Store
 
 
 def fixpoint(model):
@@ -360,6 +360,45 @@ class TestAllDifferent:
         doms = fixpoint(m)
         assert doms is not None and all(doms[v] == {1, 2} for v in vs)
 
+    def test_matches_reference_fixpoint(self):
+        """Domains and failure agree with removing fixed values until nothing
+        changes, on random small domains with many duplicates."""
+        import random
+
+        def reference(doms):
+            doms = [set(d) for d in doms]
+            changed = True
+            while changed:
+                changed = False
+                for i, dom in enumerate(doms):
+                    if len(dom) != 1:
+                        continue
+                    (val,) = dom
+                    for j, other in enumerate(doms):
+                        if j != i and val in other:
+                            if len(other) == 1:
+                                return None
+                            other.discard(val)
+                            changed = True
+            return doms
+
+        rng = random.Random(11)
+        failures = 0
+        for _ in range(600):
+            doms = [
+                set(rng.sample(range(5), rng.choice((1, 1, 2, 3)))) for _ in range(rng.randint(1, 6))
+            ]
+            store = Store()
+            xs = [store.new_var(d) for d in doms]
+            try:
+                AllDifferent(xs).propagate(store)
+                got = [set(store.values(x)) for x in xs]
+            except Inconsistent:
+                got = None
+            assert got == reference(doms), doms
+            failures += got is None
+        assert 50 < failures < 550
+
 
 class TestTable:
     def test_single_tuple_fixes_all(self):
@@ -392,6 +431,31 @@ class TestTable:
         v = m.new_var({1})
         m.post(TableConstraint([v], []))
         assert fixpoint(m) is None
+
+    def test_gac_matches_tuple_projection(self):
+        import random
+
+        from msetcp.constraints import TableConstraint
+
+        rng = random.Random(5)
+        failures = 0
+        for _ in range(400):
+            arity = rng.randint(1, 4)
+            doms = [set(rng.sample(range(4), rng.randint(1, 4))) for _ in range(arity)]
+            tuples = {tuple(rng.randrange(4) for _ in range(arity)) for _ in range(rng.randint(0, 12))}
+            store = Store()
+            xs = [store.new_var(d) for d in doms]
+            alive = [t for t in tuples if all(v in d for v, d in zip(t, doms))]
+            try:
+                TableConstraint(xs, sorted(tuples)).propagate(store)
+            except Inconsistent:
+                assert not alive, (doms, tuples)
+                failures += 1
+                continue
+            assert [set(store.values(x)) for x in xs] == [
+                {t[i] for t in alive} for i in range(arity)
+            ], (doms, tuples)
+        assert 20 < failures < 380
 
 
 class TestLinearSum:

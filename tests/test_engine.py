@@ -1,8 +1,11 @@
 """Fixpoint engine and search: queue semantics, stats, soundness, determinism."""
 
+from importlib import resources
+
 import pytest
 
 from msetcp import oracle
+from msetcp.bench import RunConfig, load_instance, run
 from msetcp.constraints import AllDifferent, LessThan, LinearSum, sum_eq
 from msetcp.engine import (
     Branching,
@@ -165,6 +168,16 @@ class TestSolveFirst:
             st2.solutions,
         )
 
+    def test_deep_order_no_recursion_error(self):
+        # one search level per variable, far deeper than the interpreter's
+        # recursion limit
+        m = Model()
+        vs = [m.new_var({0, 1}) for _ in range(3000)]
+        sol, stats = solve_first(m, Branching(vs))
+        assert sol == [0] * 3000
+        assert stats.choice_points == 3000 and stats.fails == 0
+        assert m.store.depth() == 0  # every checkpoint popped after the solution
+
 
 class TestSolveOptimal:
     def test_unconstrained_minimum(self):
@@ -285,3 +298,31 @@ class TestStatsInvariants:
             assert stats.fails <= stats.choice_points + 1
             if sol is not None:
                 assert stats.solutions == 1
+
+
+# (choice_points, fails, status, objective) of bench.run.  A change to the
+# engine, the store or a propagator that only makes it faster keeps every one.
+PINNED_TREES = [
+    ({"problem": "sport", "teams": 5}, "none", "algorithm", (16, 4, "solved", None)),
+    ({"problem": "sport", "teams": 5}, "lex", "algorithm", (23, 10, "solved", None)),
+    ({"problem": "sport", "teams": 6}, "none", "algorithm", (21, 6, "solved", None)),
+    ({"problem": "sport", "teams": 6}, "lex", "algorithm", (40, 19, "solved", None)),
+    ({"problem": "sport", "teams": 5}, "mset", "algorithm", (11, 1, "solved", None)),
+    ({"problem": "sport", "teams": 5}, "mset", "gcc", (13, 2, "solved", None)),
+    ({"problem": "sport", "teams": 5}, "mset", "arith", (11, 1, "solved", None)),
+    ("rack_1", "none", "algorithm", (45, 31, "solved", 650)),
+    ("rack_1", "mset", "algorithm", (40, 27, "solved", 650)),
+    ("rack_2", "mset", "algorithm", (356, 275, "solved", 800)),
+]
+
+
+def test_search_tree_fingerprints_pinned():
+    """A hot-path change that alters any search tree shows up here."""
+    got, expected = [], []
+    for source, symmetry, encoding, fingerprint in PINNED_TREES:
+        if isinstance(source, str):
+            source = str(resources.files("msetcp").joinpath(f"data/{source}.json"))
+        rec = run(RunConfig(symmetry=symmetry, encoding=encoding), load_instance(source))
+        got.append((rec.choice_points, rec.fails, rec.status, rec.objective))
+        expected.append(fingerprint)
+    assert got == expected

@@ -62,6 +62,20 @@ def test_event_kinds():
     ]
 
 
+def test_event_masks_are_plain_ints():
+    assert EventKind.BOUNDS == EventKind.MIN_CHANGED | EventKind.MAX_CHANGED
+    s = Store()
+    v = s.new_var(range(6))
+    w = s.new_var(range(6))
+    s.take_raw_events()
+    s.remove(v, 3)
+    s.set_min(v, 1)
+    s.assign(w, 2)
+    events = s.take_raw_events()
+    assert [var for var, _ in events] == [v, w]
+    assert all(type(kinds) is int for _, kinds in events)
+
+
 def test_events_coalesce_per_round():
     s = Store()
     v = s.new_var(range(10))
