@@ -381,6 +381,8 @@ def build_rack(instance: dict, cfg: RunConfig) -> BuiltModel:
     """
     if cfg.symmetry not in ("none", "mset"):
         raise SchemaError(f"unknown rack symmetry {cfg.symmetry!r}")
+    if cfg.labelling != "row-wise":
+        raise SchemaError("rack has one variable order; --labelling applies to party")
     models = list(instance["rack_models"]) + [{"power": 0, "connectors": 0, "price": 0}]
     cards = instance["card_types"]
     r = instance["racks"]
@@ -474,6 +476,8 @@ def build_sport(instance: dict, cfg: RunConfig) -> BuiltModel:
     odd = n % 2 == 1
     if cfg.symmetry not in ("none", "mset", "lex"):
         raise SchemaError(f"unknown sport symmetry {cfg.symmetry!r}")
+    if cfg.labelling != "row-wise":
+        raise SchemaError("sport has one variable order; --labelling applies to party")
     if cfg.symmetry == "mset" and not odd:
         raise SchemaError("multiset column ordering applies to odd team counts only")
     periods = (n - 1) // 2 if odd else n // 2
@@ -574,13 +578,7 @@ def run(cfg: RunConfig, instance: dict) -> RunRecord:
         stats = solver.stats
     return RunRecord(
         problem=instance["problem"],
-        config={
-            "symmetry": cfg.symmetry,
-            "encoding": cfg.encoding,
-            "entailment": cfg.entailment,
-            "labelling": cfg.labelling,
-            "timeout": cfg.timeout,
-        },
+        config=asdict(cfg),
         status=status,
         fails=stats.fails,
         choice_points=stats.choice_points,

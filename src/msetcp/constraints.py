@@ -1,17 +1,18 @@
 """Constraint library for the benchmark models and the alternative encodings.
 
 Filtering strengths are deliberately heterogeneous and documented per class:
-the lexicographic ordering filter is GAC; the cardinality filter does
-counting-based bounds reasoning in both directions; the sortedness channel is
-a bounds-and-counting filter (not full GAC); all-different only reacts to
-instantiations.  The arithmetic encoding of the multiset ordering uses exact
-big-integer weights and is bounds consistent, which for that constraint
-coincides with GAC.
+the lexicographic ordering filter is GAC; the cardinality filter and the
+sortedness channel are bounds-and-counting filters (not full GAC) built on
+one per-value tally and one force/forbid rule, one pass per call, left to the
+engine's queue to re-run; all-different only reacts to instantiations.  The
+arithmetic encoding of the multiset ordering uses exact big-integer weights
+and is bounds consistent, which for that constraint coincides with GAC.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from typing import Sequence
 
 from .engine import Propagator, Status
@@ -95,13 +96,42 @@ class LexOrdering(Propagator):
         return cmp is not Ordering.GREATER
 
 
+def _tally(store: Store, variables: Sequence[int]) -> dict[int, list]:
+    """``{value: [fixed, candidates]}`` over the union of the domains: how many
+    of ``variables`` are fixed to each value and which unfixed ones can still
+    take it.  Reads each domain tuple once."""
+    tally: dict[int, list] = defaultdict(lambda: [0, []])
+    for x, dom in zip(variables, map(store.values, variables)):
+        if len(dom) == 1:
+            tally[dom[0]][0] += 1
+        else:
+            for val in dom:
+                tally[val][1].append(x)
+    return tally
+
+
+def _settle(store: Store, val: int, fixed: int, cands: Sequence[int], lo: int, hi: int) -> None:
+    """Force or forbid ``val``, which occurs ``lo..hi`` times among variables
+    of which ``fixed`` take it and ``cands`` still may: every candidate takes
+    it when ``lo`` needs them all, none when ``fixed`` already reaches ``hi``.
+    A tally taken before cuts made since is a superset of the domains, so both
+    cuts stay implied and fail exactly when the counts are infeasible."""
+    if lo == fixed + len(cands):
+        for x in cands:
+            store.assign(x, val)
+    elif hi == fixed:
+        for x in cands:
+            store.remove(x, val)
+
+
 class Cardinality(Propagator):
     """Counting-based cardinality filter linking values to occurrence variables.
 
     ``occ[k]`` counts how many of ``xs`` take ``values[k]``; the value list is
     strictly decreasing and must cover every value the variables can take.
     Occurrence bounds are tightened from the fixed/candidate counts, and
-    saturated bounds force or forbid values on the variable side.
+    saturated bounds force or forbid values on the variable side, in one pass
+    per call: the engine re-runs it on its own events.
     """
 
     def __init__(self, xs: Sequence[int], values: Sequence[int], occ: Sequence[int]) -> None:
@@ -126,30 +156,12 @@ class Cardinality(Propagator):
         return self.propagate(store)
 
     def propagate(self, store: Store) -> Status:
-        xs = self.xs
-        domain = store.values
-        changed = True
-        while changed:
-            changed = False
-            for val, o in zip(self.vals, self.occ):
-                fixed = 0
-                cands = []
-                for x, dom in zip(xs, map(domain, xs)):
-                    if val in dom:
-                        if len(dom) == 1:
-                            fixed += 1
-                        else:
-                            cands.append(x)
-                changed |= store.set_min(o, fixed)
-                changed |= store.set_max(o, fixed + len(cands))
-                if cands and store.min(o) == fixed + len(cands):
-                    for x in cands:
-                        store.assign(x, val)
-                    changed = True
-                elif cands and store.max(o) == fixed:
-                    for x in cands:
-                        store.remove(x, val)
-                    changed = True
+        tally = _tally(store, self.xs)
+        for val, o in zip(self.vals, self.occ):
+            fixed, cands = tally[val]
+            store.set_min(o, fixed)
+            store.set_max(o, fixed + len(cands))
+            _settle(store, val, fixed, cands, store.min(o), store.max(o))
         return Status.ACTIVE
 
     def check(self, values: Sequence[int]) -> bool:
@@ -163,10 +175,11 @@ class SortednessLink(Propagator):
     """Channel ``sorted_desc`` between ``xs`` and its non-increasing view ``sxs``.
 
     Bounds-and-counting filter: position k of the sorted vector is confined by
-    the k-th largest domain bounds of ``xs``, values absent from one side are
-    dropped from the other, per-value occurrence counts must agree on both
-    sides, and the sorted vector is kept non-increasing.  Not full GAC, but
-    strong enough to dominate the pure counting decomposition.
+    the k-th largest domain bounds of ``xs``, per-value occurrence counts must
+    agree on both sides (so values absent from one side are dropped from the
+    other), and the sorted vector is kept non-increasing, in one pass per call
+    as for :class:`Cardinality`.  Not full GAC, but strong enough to dominate
+    the pure counting decomposition.
     """
 
     def __init__(self, xs: Sequence[int], sxs: Sequence[int]) -> None:
@@ -181,72 +194,31 @@ class SortednessLink(Propagator):
         for v in self.sxs:
             yield v, EventKind.ANY
 
-    def _pass(self, store: Store) -> bool:
+    def propagate(self, store: Store) -> Status:
         xs, sxs = self.xs, self.sxs
         n = len(xs)
-        changed = False
         # keep the sorted view non-increasing
         for k in range(n - 1):
-            changed |= store.set_min(sxs[k], store.min(sxs[k + 1]))
-            changed |= store.set_max(sxs[k + 1], store.max(sxs[k]))
+            store.set_min(sxs[k], store.min(sxs[k + 1]))
+            store.set_max(sxs[k + 1], store.max(sxs[k]))
         # position bounds: k-th largest of the per-variable bounds
         maxs = sorted((store.max(x) for x in xs), reverse=True)
         mins = sorted((store.min(x) for x in xs), reverse=True)
         for k in range(n):
-            changed |= store.set_max(sxs[k], maxs[k])
-            changed |= store.set_min(sxs[k], mins[k])
-        # values present on one side only can be dropped from the other
-        x_union = set()
-        for x in xs:
-            x_union.update(store.values(x))
-        s_union = set()
-        for s in sxs:
-            s_union.update(store.values(s))
-        for s in sxs:
-            changed |= store.retain(s, x_union)
-        for x in xs:
-            changed |= store.retain(x, s_union)
+            store.set_max(sxs[k], maxs[k])
+            store.set_min(sxs[k], mins[k])
         # per-value occurrence counts must agree
-        for val in sorted(x_union | s_union, reverse=True):
-            x_fixed, x_cand = 0, []
-            for x in xs:
-                if store.contains(x, val):
-                    if store.is_fixed(x):
-                        x_fixed += 1
-                    else:
-                        x_cand.append(x)
-            s_fixed, s_cand = 0, []
-            for s in sxs:
-                if store.contains(s, val):
-                    if store.is_fixed(s):
-                        s_fixed += 1
-                    else:
-                        s_cand.append(s)
+        x_tally = _tally(store, xs)
+        s_tally = _tally(store, sxs)
+        for val in x_tally.keys() | s_tally.keys():
+            x_fixed, x_cands = x_tally[val]
+            s_fixed, s_cands = s_tally[val]
             lo = max(x_fixed, s_fixed)
-            hi = min(x_fixed + len(x_cand), s_fixed + len(s_cand))
+            hi = min(x_fixed + len(x_cands), s_fixed + len(s_cands))
             if lo > hi:
                 raise Inconsistent(f"sortedness: value {val} count mismatch")
-            if lo == x_fixed + len(x_cand) and x_cand:
-                for x in x_cand:
-                    store.assign(x, val)
-                changed = True
-            if lo == s_fixed + len(s_cand) and s_cand:
-                for s in s_cand:
-                    store.assign(s, val)
-                changed = True
-            if hi == x_fixed:
-                for x in x_cand:
-                    store.remove(x, val)
-                changed = changed or bool(x_cand)
-            if hi == s_fixed:
-                for s in s_cand:
-                    store.remove(s, val)
-                changed = changed or bool(s_cand)
-        return changed
-
-    def propagate(self, store: Store) -> Status:
-        while self._pass(store):
-            pass
+            _settle(store, val, x_fixed, x_cands, lo, hi)
+            _settle(store, val, s_fixed, s_cands, lo, hi)
         return Status.ACTIVE
 
     def check(self, values: Sequence[int]) -> bool:
@@ -266,7 +238,8 @@ class ArithmeticMultiset(MultisetPair):
     base that keeps the sums exact: ``base >= max(2, n)`` for two vectors of
     length ``n`` (``n`` copies of ``v`` weigh as much as one ``v + 1`` only
     when they fill a whole vector, and then the other vector's remaining
-    elements break the tie), and a base above both lengths otherwise.
+    elements break the tie), and a base above both lengths otherwise; such a
+    base makes the inherited multiset ``check`` agree with the weight sums.
     """
 
     def __init__(
@@ -309,11 +282,6 @@ class ArithmeticMultiset(MultisetPair):
             if need > 0:
                 store.set_min(y, bisect_left(self._powers, need))
         return Status.ACTIVE
-
-    def check(self, values: Sequence[int]) -> bool:
-        lhs = sum(self.base ** values[x] for x in self.xs)
-        rhs = sum(self.base ** values[y] for y in self.ys)
-        return lhs < rhs if self.strict else lhs <= rhs
 
 
 class AllDifferent(Propagator):

@@ -1,14 +1,16 @@
 """Constraint network and search: fixpoint loop, DFS labelling, branch and bound.
 
 Propagators subscribe to variable events through an int mask; the fixpoint
-loop is a FIFO queue with per-propagator deduplication.  A propagator that
-reports ENTAILED is deactivated for the rest of the branch (the flag is
-trailed, so backtracking reactivates it).  Search uses static variable orders
-with per-model value orders.  The DFS keeps its open nodes on an explicit
-stack, so its depth is not bounded by the interpreter's recursion limit, and
-each node resumes the scan for the next unfixed variable where its parent's
-scan stopped (domains only shrink down a branch).  Every emitted solution is
-re-checked against the ground semantics of all posted constraints.
+loop is a FIFO queue with per-propagator deduplication.  A propagator is
+re-queued by the events its own pruning raises, so a filter subscribed to all
+of them need not loop to its own fixpoint: one pass per call suffices.  A
+propagator that reports ENTAILED is deactivated for the rest of the branch
+(the flag is trailed, so backtracking reactivates it).  Search uses static
+variable orders with per-model value orders.  The DFS keeps its open nodes on
+an explicit stack, so its depth is not bounded by the interpreter's recursion
+limit, and each node resumes the scan for the next unfixed variable where its
+parent's scan stopped (domains only shrink down a branch).  Every emitted
+solution is re-checked against the ground semantics of all posted constraints.
 """
 
 from __future__ import annotations

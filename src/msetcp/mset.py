@@ -242,7 +242,6 @@ class MultisetOrdering(MultisetPair):
     ) -> None:
         super().__init__(xs, ys, strict)
         self.track_entailment = entailment
-        self.entailed = False
         self.xmin_counts: list[int] = []
         self.ymax_counts: list[int] = []
         self.xmax_counts: Optional[list[int]] = None
@@ -317,29 +316,21 @@ class MultisetOrdering(MultisetPair):
             return not self.strict
         return xc[i] < yc[i]
 
-    def _mark_entailed(self, store: Store) -> None:
-        self.entailed = True
-
-        def undo() -> None:
-            self.entailed = False
-
-        store.trail_undo(undo)
+    @property
+    def entailed(self) -> bool:
+        """Whether every completion of the current domains satisfies the
+        ordering; only tracked (and only true) with ``entailment=True``, once
+        posted.  Follows the domains across backtracking, as the counts do."""
+        return self.xmax_counts is not None and self.entailment_holds()
 
     def propagate(self, store: Store) -> Status:
-        if self.track_entailment:
-            if self.entailed:
-                return Status.ENTAILED
-            if self.entailment_holds():
-                self._mark_entailed(store)
-                return Status.ENTAILED
+        if self.entailed:
+            return Status.ENTAILED
         runs = zip(reversed(self._unrank), reversed(self.xmin_counts), reversed(self.ymax_counts))
         fl, *counts = _summary(runs, self.strict)
         _prune(store, self.xs, self.ys, fl, *counts)
         self.last_flags = fl
-        if self.track_entailment and self.entailment_holds():
-            self._mark_entailed(store)
-            return Status.ENTAILED
-        return Status.ACTIVE
+        return Status.ENTAILED if self.entailed else Status.ACTIVE
 
 
 class StatelessMultisetOrdering(MultisetPair):

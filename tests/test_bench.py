@@ -354,6 +354,20 @@ class TestCli:
         code = main(["--problem", "rack", "--instance", data_path("sport_n5.json")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "problem, instance", [("rack", "rack_1.json"), ("sport", "sport_n5.json")]
+    )
+    def test_column_wise_labelling_rejected_outside_party(self, problem, instance, capsys):
+        """Only party's variable order follows --labelling; elsewhere the
+        option would do nothing, so it is refused."""
+        code = main(
+            ["--problem", problem, "--instance", data_path(instance), "--labelling", "column-wise"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "labelling" in captured.err
+
     def test_timeout_exit_one(self, tmp_path, capsys):
         big = tmp_path / "sport_n9.json"
         big.write_text(json.dumps({"problem": "sport", "teams": 9}))

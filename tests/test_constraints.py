@@ -3,6 +3,7 @@
 import pytest
 
 from msetcp import oracle
+from msetcp.bench import RunConfig, post_mset_ordering
 from msetcp.constraints import (
     AllDifferent,
     ArithmeticMultiset,
@@ -275,6 +276,28 @@ class TestSortednessLink:
                 assert all(
                     s in doms[sx] for s, sx in zip(sort_desc(xv), sxs)
                 ), (xd, sd, xv)
+
+
+@pytest.mark.parametrize("encoding", ["gcc", "sort"])
+def test_counting_fixpoint_is_stable(encoding):
+    """At the engine's fixpoint one more call of any propagator of the gcc or
+    sort decomposition changes nothing.  The counting filters make one pass
+    per call and rely on the queue to run them again, which reaches their
+    fixpoint only if every variable they prune wakes them."""
+    stable = 0
+    for xd, yd in oracle.random_instances(300, seed=61, max_len=4, max_values=4):
+        for strict in (False, True):
+            m = Model()
+            xs = [m.new_var(d) for d in xd]
+            ys = [m.new_var(d) for d in yd]
+            post_mset_ordering(m, xs, ys, strict, RunConfig(encoding=encoding))
+            if not propagate_to_fixpoint(m):
+                continue
+            for prop in m.propagators:
+                prop.propagate(m.store)
+                assert m.store.take_raw_events() == [], (type(prop).__name__, xd, yd, strict)
+            stable += 1
+    assert stable > 200
 
 
 class TestArithmeticMultiset:

@@ -310,6 +310,8 @@ PINNED_TREES = [
     ({"problem": "sport", "teams": 5}, "mset", "algorithm", (11, 1, "solved", None)),
     ({"problem": "sport", "teams": 5}, "mset", "gcc", (13, 2, "solved", None)),
     ({"problem": "sport", "teams": 5}, "mset", "arith", (11, 1, "solved", None)),
+    ({"problem": "sport", "teams": 7}, "mset", "sort", (135, 71, "solved", None)),
+    ({"problem": "sport", "teams": 7}, "mset", "gcc", (137, 73, "solved", None)),
     ("rack_1", "none", "algorithm", (45, 31, "solved", 650)),
     ("rack_1", "mset", "algorithm", (40, 27, "solved", 650)),
     ("rack_2", "mset", "algorithm", (356, 275, "solved", 800)),
