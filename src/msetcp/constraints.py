@@ -5,8 +5,11 @@ the lexicographic ordering filter is GAC; the cardinality filter and the
 sortedness channel are bounds-and-counting filters (not full GAC) built on
 one per-value tally and one force/forbid rule, one pass per call, left to the
 engine's queue to re-run; all-different only reacts to instantiations.  The
-arithmetic encoding of the multiset ordering uses exact big-integer weights
-and is bounds consistent, which for that constraint coincides with GAC.
+linear sums are bounds consistent from one read of the domains per call: a
+term is cut only when its span exceeds the slack, and a sum is entailed as
+soon as its worst case holds, fixed variables or not.  The arithmetic
+encoding of the multiset ordering uses exact big-integer weights and is
+bounds consistent, which for that constraint coincides with GAC.
 """
 
 from __future__ import annotations
@@ -369,7 +372,20 @@ class TableConstraint(Propagator):
 
 
 class LinearSum(Propagator):
-    """Bounds consistency on ``sum(c_i * x_i) <= k`` or ``== k``."""
+    """Bounds consistency on ``sum(c_i * x_i) <= k`` or ``== k``.
+
+    One call reads every domain once, then works on that snapshot: the least
+    sum ``lo`` and the greatest sum ``hi`` decide failure (``lo > k``, or
+    ``hi < k`` for ``==``) and entailment (``hi <= k`` for ``<=``, ``lo == hi``
+    for ``==``), so a sum that holds in the worst case is entailed while its
+    variables are still unfixed.  Otherwise a term is cut only when its span
+    ``|c_i| * (max x_i - min x_i)`` exceeds the room left, ``k - lo`` (and
+    ``hi - k`` from below for ``==``); a term that fits in the room has no
+    value to lose, so the skipped cuts are exactly the ones that would change
+    nothing.  Cuts on one side may leave the other side's bounds of the
+    snapshot a little stale; what they cut is still implied, and the engine
+    re-queues the sum on its own events, so the fixpoint is the textbook one.
+    """
 
     def __init__(
         self,
@@ -392,29 +408,44 @@ class LinearSum(Propagator):
         for v in self.xs:
             yield v, EventKind.BOUNDS
 
-    def _enforce_le(self, store: Store, sign: int, bound: int) -> None:
-        """Propagate sum(sign * c_i * x_i) <= bound."""
-        total_min = 0
-        for c, x in zip(self.coeffs, self.xs):
-            sc = sign * c
-            total_min += sc * (store.min(x) if sc > 0 else store.max(x))
-        if total_min > bound:
-            raise Inconsistent("linear sum infeasible")
-        for c, x in zip(self.coeffs, self.xs):
-            sc = sign * c
-            own_min = sc * (store.min(x) if sc > 0 else store.max(x))
-            slack = bound - (total_min - own_min)
-            if sc > 0:
-                store.set_max(x, slack // sc)
-            else:
-                store.set_min(x, -((-slack) // sc))  # ceil(slack / sc), sc < 0
-
     def propagate(self, store: Store) -> Status:
-        self._enforce_le(store, 1, self.constant)
-        if self.relation == "==":
-            self._enforce_le(store, -1, -self.constant)
-        if all(store.is_fixed(x) for x in self.xs):
-            return Status.ENTAILED
+        k = self.constant
+        terms = list(zip(self.coeffs, self.xs, map(store.values, self.xs)))
+        lo = hi = 0
+        for c, _, dom in terms:
+            if c > 0:
+                lo += c * dom[0]
+                hi += c * dom[-1]
+            else:
+                lo += c * dom[-1]
+                hi += c * dom[0]
+        if lo > k:
+            raise Inconsistent("linear sum infeasible")
+        above = k - lo
+        if self.relation == "<=":
+            if hi <= k:
+                return Status.ENTAILED
+            below = None
+        else:
+            if hi < k:
+                raise Inconsistent("linear sum infeasible")
+            if lo == hi:
+                return Status.ENTAILED
+            below = hi - k
+        for c, x, dom in terms:
+            least, most = dom[0], dom[-1]
+            a = c if c > 0 else -c
+            span = a * (most - least)
+            if span > above:  # the term's largest value overruns k
+                if c > 0:
+                    store.set_max(x, least + above // a)
+                else:
+                    store.set_min(x, most - above // a)
+            if below is not None and span > below:  # its least falls short
+                if c > 0:
+                    store.set_min(x, most - below // a)
+                else:
+                    store.set_max(x, least + below // a)
         return Status.ACTIVE
 
     def check(self, values: Sequence[int]) -> bool:
@@ -424,10 +455,6 @@ class LinearSum(Propagator):
 
 def sum_eq(xs: Sequence[int], constant: int) -> LinearSum:
     return LinearSum([1] * len(xs), xs, "==", constant)
-
-
-def sum_le(xs: Sequence[int], constant: int) -> LinearSum:
-    return LinearSum([1] * len(xs), xs, "<=", constant)
 
 
 class LessThan(Propagator):

@@ -214,12 +214,15 @@ class Solver:
     def _branch(self, var: int, values: Iterator[int]) -> bool:
         """Open the next child: push a checkpoint and assign ``var`` the next
         value of ``values`` whose propagation does not fail.  False once
-        ``values`` is used up, with no checkpoint left behind."""
+        ``values`` is used up, with no checkpoint left behind.  The deadline
+        is checked before each child, so a long run of failing siblings
+        cannot overrun it."""
         store = self.store
         stats = self.stats
         for val in values:
             if not store.contains(var, val):
                 continue  # bound propagation inside this loop may prune
+            self._check_deadline()
             store.push()
             stats.choice_points += 1
             try:

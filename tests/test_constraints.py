@@ -16,9 +16,8 @@ from msetcp.constraints import (
     SortednessLink,
     StatelessMultisetOrdering,
     sum_eq,
-    sum_le,
 )
-from msetcp.engine import Model, propagate_to_fixpoint
+from msetcp.engine import Model, Solver, Status, propagate_to_fixpoint
 from msetcp.mset import MultisetOrdering
 from msetcp.store import Inconsistent, Store
 
@@ -481,6 +480,39 @@ class TestTable:
         assert 20 < failures < 380
 
 
+def linear_bounds_fixpoint(coeffs, doms, relation, const):
+    """Reference: apply the textbook bounds rules of ``sum(c*x) <= k`` (and,
+    for ``==``, of ``sum(c*x) >= k``) to every variable until nothing
+    changes; None when a domain empties."""
+    doms = [sorted(d) for d in doms]
+
+    def least(c, d):
+        return min(c * d[0], c * d[-1])
+
+    def most(c, d):
+        return max(c * d[0], c * d[-1])
+
+    changed = True
+    while changed:
+        changed = False
+        for i, c in enumerate(coeffs):
+            others = [(cj, dj) for j, (cj, dj) in enumerate(zip(coeffs, doms)) if j != i]
+            rest_least = sum(least(cj, dj) for cj, dj in others)
+            rest_most = sum(most(cj, dj) for cj, dj in others)
+            kept = [
+                v
+                for v in doms[i]
+                if rest_least + c * v <= const
+                and (relation == "<=" or rest_most + c * v >= const)
+            ]
+            if not kept:
+                return None
+            if len(kept) < len(doms[i]):
+                doms[i] = kept
+                changed = True
+    return [set(d) for d in doms]
+
+
 class TestLinearSum:
     def test_le_bounds(self):
         m = Model()
@@ -517,12 +549,29 @@ class TestLinearSum:
     def test_infeasible(self):
         m = Model()
         a = m.new_var({3, 4})
-        m.post(sum_le([a], 2))
+        m.post(LinearSum([1], [a], "<=", 2))
         assert fixpoint(m) is None
 
     def test_never_prunes_a_supported_assignment(self):
+        """Sound, as strong as the textbook bounds rules, and every bound
+        cut it makes moves a bound."""
         import itertools
         import random
+
+        class CutRecordingStore(Store):
+            def __init__(self):
+                super().__init__()
+                self.cuts = []
+
+            def set_max(self, var, bound):
+                changed = super().set_max(var, bound)
+                self.cuts.append(("max", var, bound, changed))
+                return changed
+
+            def set_min(self, var, bound):
+                changed = super().set_min(var, bound)
+                self.cuts.append(("min", var, bound, changed))
+                return changed
 
         rng = random.Random(41)
         for _ in range(300):
@@ -531,10 +580,13 @@ class TestLinearSum:
             xd = [sorted(rng.sample(range(-2, 4), rng.randint(1, 3))) for _ in range(n)]
             relation = rng.choice(["<=", "=="])
             const = rng.randint(-4, 8)
+            case = (coeffs, xd, relation, const)
             m = Model()
+            m.store = CutRecordingStore()
             xs = [m.new_var(d) for d in xd]
             m.post(LinearSum(coeffs, xs, relation, const))
             doms = fixpoint(m)
+            assert all(changed for *_, changed in m.store.cuts), (case, m.store.cuts)
             solutions = [
                 xv
                 for xv in itertools.product(*xd)
@@ -544,13 +596,57 @@ class TestLinearSum:
                     else sum(c * v for c, v in zip(coeffs, xv)) == const
                 )
             ]
+            expected = linear_bounds_fixpoint(coeffs, xd, relation, const)
             if doms is None:
-                assert not solutions, (coeffs, xd, relation, const)
+                assert not solutions and expected is None, case
                 continue
+            assert doms == expected, case
             for xv in solutions:
-                assert all(v in doms[x] for v, x in zip(xv, xs)), (
-                    coeffs, xd, relation, const, xv,
-                )
+                assert all(v in doms[x] for v, x in zip(xv, xs)), (case, xv)
+
+    def test_entailed_once_the_worst_case_holds(self):
+        store = Store()
+        a = store.new_var(range(3))
+        b = store.new_var(range(3))
+        assert LinearSum([1, 2], [a, b], "<=", 6).propagate(store) is Status.ENTAILED
+        assert LinearSum([1, 2], [a, b], "<=", 5).propagate(store) is Status.ACTIVE
+        eq = LinearSum([1, 1], [a, b], "==", 2)
+        assert eq.propagate(store) is Status.ACTIVE
+        store.assign(a, 1)
+        assert eq.propagate(store) is Status.ACTIVE  # cuts b to {1}
+        assert store.values(b) == (1,)
+        assert eq.propagate(store) is Status.ENTAILED  # lo == hi == 2
+
+    def test_entailed_in_one_branch_prunes_after_the_pop(self):
+        calls = []
+
+        class Spy(LinearSum):
+            def propagate(self, store):
+                calls.append(1)
+                return super().propagate(store)
+
+        m = Model()
+        x = m.new_var(range(4))
+        y = m.new_var(range(4))
+        m.post(Spy([1, 1], [x, y], "<=", 3))
+        s = Solver(m)
+        assert s.propagate_root()
+        store = m.store
+        store.push()
+        store.set_max(x, 0)  # x + y <= 0 + 3 whatever y is
+        s._wake_for(store.take_raw_events())
+        s.fixpoint()
+        n_calls = len(calls)
+        store.set_max(y, 2)
+        s._wake_for(store.take_raw_events())
+        s.fixpoint()
+        assert len(calls) == n_calls  # entailed in this branch
+        store.pop()
+        store.set_min(x, 2)
+        s._wake_for(store.take_raw_events())
+        s.fixpoint()
+        assert len(calls) > n_calls  # active again after the pop
+        assert store.values(y) == (0, 1)
 
 
 class TestReifiedAndConditional:

@@ -1,5 +1,6 @@
 """Fixpoint engine and search: queue semantics, stats, soundness, determinism."""
 
+import time
 from importlib import resources
 
 import pytest
@@ -10,6 +11,7 @@ from msetcp.constraints import AllDifferent, LessThan, LinearSum, sum_eq
 from msetcp.engine import (
     Branching,
     Model,
+    SearchTimeout,
     Solver,
     descending,
     propagate_to_fixpoint,
@@ -178,6 +180,23 @@ class TestSolveFirst:
         assert stats.choice_points == 3000 and stats.fails == 0
         assert m.store.depth() == 0  # every checkpoint popped after the solution
 
+    def test_deadline_checked_between_failing_siblings(self):
+        # every child of x fails (x == y, yet x != y); the value order sleeps
+        # past the deadline after the first, so the next child must not open
+        m = Model()
+        x = m.new_var(range(5))
+        y = m.new_var(range(5))
+        m.post(LinearSum([1, -1], [x, y], "==", 0))
+        m.post(AllDifferent([x, y]))
+
+        def slow_after_first(var, values):
+            yield values[0]
+            time.sleep(0.05)
+            yield from values[1:]
+
+        with pytest.raises(SearchTimeout):
+            Solver(m).solve(Branching([x, y], slow_after_first), timeout=0.01)
+
 
 class TestSolveOptimal:
     def test_unconstrained_minimum(self):
@@ -315,6 +334,12 @@ PINNED_TREES = [
     ("rack_1", "none", "algorithm", (45, 31, "solved", 650)),
     ("rack_1", "mset", "algorithm", (40, 27, "solved", 650)),
     ("rack_2", "mset", "algorithm", (356, 275, "solved", 800)),
+    ("rack_5", "none", "algorithm", (32, 25, "solved", 800)),
+    ("rack_5", "mset", "algorithm", (2276, 1799, "solved", 800)),
+    ("rack_5", "mset", "arith", (2276, 1799, "solved", 800)),
+    ("party_toy", "lex", "algorithm", (1, 0, "solved", None)),
+    ("party_toy", "mset", "algorithm", (3, 1, "solved", None)),
+    ("party_2", "none", "algorithm", (133, 5, "solved", None)),
 ]
 
 
