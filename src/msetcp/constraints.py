@@ -7,7 +7,9 @@ one per-value tally and one force/forbid rule, one pass per call, left to the
 engine's queue to re-run; all-different only reacts to instantiations.  The
 linear sums are bounds consistent from one read of the domains per call: a
 term is cut only when its span exceeds the slack, and a sum is entailed as
-soon as its worst case holds, fixed variables or not.  The arithmetic
+soon as its worst case holds, fixed variables or not.  The table constraint
+is GAC by support bitsets (one bit per allowed tuple, one AND per variable)
+and is entailed when exactly one allowed tuple is left.  The arithmetic
 encoding of the multiset ordering uses exact big-integer weights and is
 bounds consistent, which for that constraint coincides with GAC.
 """
@@ -333,7 +335,17 @@ class AllDifferent(Propagator):
 
 
 class TableConstraint(Propagator):
-    """GAC on an explicit list of allowed tuples, by support scan."""
+    """GAC on an explicit list of allowed tuples, by support bitsets.
+
+    Bit ``i`` of ``masks[p][v]`` is set when tuple ``i`` has ``v`` at position
+    ``p``; the masks are built once.  A call reads each domain once and ANDs,
+    over the positions, the OR of the masks of the values still in the
+    domain: the result holds the live tuples.  No live tuple is a failure; a
+    value whose mask misses the live set has no support, and only a variable
+    holding such a value is narrowed.  The constraint is entailed when
+    exactly one live tuple is left, since every domain is then that tuple's
+    value.  The live set is recomputed from the domains, so nothing is trailed.
+    """
 
     def __init__(self, xs: Sequence[int], tuples: Sequence[tuple[int, ...]]) -> None:
         arity = len(xs)
@@ -341,34 +353,38 @@ class TableConstraint(Propagator):
             raise ValueError("tuple arity mismatch")
         self.xs = list(xs)
         self.tuples = [tuple(t) for t in tuples]
+        self._allowed = frozenset(self.tuples)
+        self._all = (1 << len(self.tuples)) - 1
+        self.masks: list[dict[int, int]] = [{} for _ in self.xs]
+        for i, t in enumerate(self.tuples):
+            for masks, v in zip(self.masks, t):
+                masks[v] = masks.get(v, 0) | 1 << i
 
     def subscriptions(self):
         for v in self.xs:
             yield v, EventKind.ANY
 
     def propagate(self, store: Store) -> Status:
-        xs = self.xs
-        doms = [set(store.values(x)) for x in xs]
-        supported = [set() for _ in xs]
-        alive = 0
-        for t in self.tuples:
-            for dom, v in zip(doms, t):
-                if v not in dom:
-                    break
-            else:
-                alive += 1
-                for s, v in zip(supported, t):
-                    s.add(v)
-        if alive == 0:
+        doms = [store.values(x) for x in self.xs]
+        live = self._all
+        for dom, masks in zip(doms, self.masks):
+            support = 0
+            for v in dom:
+                support |= masks.get(v, 0)
+            live &= support
+        if not live:
             raise Inconsistent("table constraint: no tuple survives")
-        for x, s in zip(xs, supported):
-            store.retain(x, s)
-        if alive == 1:
+        for x, dom, masks in zip(self.xs, doms, self.masks):
+            for v in dom:
+                if not masks.get(v, 0) & live:
+                    store.retain(x, {w for w in dom if masks.get(w, 0) & live})
+                    break
+        if not live & (live - 1):
             return Status.ENTAILED
         return Status.ACTIVE
 
     def check(self, values: Sequence[int]) -> bool:
-        return tuple(values[x] for x in self.xs) in set(self.tuples)
+        return tuple(values[x] for x in self.xs) in self._allowed
 
 
 class LinearSum(Propagator):

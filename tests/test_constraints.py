@@ -479,6 +479,56 @@ class TestTable:
             ], (doms, tuples)
         assert 20 < failures < 380
 
+    def test_degenerate_tables(self):
+        from msetcp.constraints import TableConstraint
+
+        assert TableConstraint([], [()]).propagate(Store()) is Status.ENTAILED
+        with pytest.raises(Inconsistent):
+            TableConstraint([], []).propagate(Store())
+        store = Store()
+        v = store.new_var({1, 2})
+        with pytest.raises(Inconsistent):
+            TableConstraint([v], []).propagate(store)
+        store = Store()
+        xs = [store.new_var({1, 2, 3}), store.new_var({1, 2, 3})]
+        TableConstraint(xs, [(1, 2), (3, 3), (1, 2), (3, 3)]).propagate(store)
+        assert [store.values(x) for x in xs] == [(1, 3), (2, 3)]
+
+    def test_retain_only_when_a_value_dies_and_entailed_on_one_tuple(self, monkeypatch):
+        import random
+
+        from msetcp.constraints import TableConstraint
+
+        retains = []
+        real_retain = Store.retain
+
+        def spy(store, var, allowed):
+            before = store.values(var)
+            changed = real_retain(store, var, allowed)
+            retains.append((before, store.values(var)))
+            return changed
+
+        monkeypatch.setattr(Store, "retain", spy)
+        rng = random.Random(11)
+        entailed = 0
+        for _ in range(400):
+            arity = rng.randint(1, 4)
+            doms = [set(rng.sample(range(4), rng.randint(1, 4))) for _ in range(arity)]
+            tuples = {tuple(rng.randrange(4) for _ in range(arity)) for _ in range(rng.randint(1, 12))}
+            store = Store()
+            xs = [store.new_var(d) for d in doms]
+            alive = [t for t in tuples if all(v in d for v, d in zip(t, doms))]
+            if not alive:
+                continue
+            del retains[:]
+            status = TableConstraint(xs, sorted(tuples)).propagate(store)
+            assert all(after != before for before, after in retains), (doms, tuples)
+            narrowed = sum(len(store.values(x)) < len(d) for x, d in zip(xs, doms))
+            assert len(retains) == narrowed, (doms, tuples)
+            assert (status is Status.ENTAILED) == (len(alive) == 1), (doms, tuples)
+            entailed += status is Status.ENTAILED
+        assert 20 < entailed < 300
+
 
 def linear_bounds_fixpoint(coeffs, doms, relation, const):
     """Reference: apply the textbook bounds rules of ``sum(c*x) <= k`` (and,

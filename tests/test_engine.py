@@ -326,6 +326,7 @@ PINNED_TREES = [
     ({"problem": "sport", "teams": 5}, "lex", "algorithm", (23, 10, "solved", None)),
     ({"problem": "sport", "teams": 6}, "none", "algorithm", (21, 6, "solved", None)),
     ({"problem": "sport", "teams": 6}, "lex", "algorithm", (40, 19, "solved", None)),
+    ({"problem": "sport", "teams": 7}, "lex", "algorithm", (1496, 920, "solved", None)),
     ({"problem": "sport", "teams": 5}, "mset", "algorithm", (11, 1, "solved", None)),
     ({"problem": "sport", "teams": 5}, "mset", "gcc", (13, 2, "solved", None)),
     ({"problem": "sport", "teams": 5}, "mset", "arith", (11, 1, "solved", None)),
