@@ -298,6 +298,11 @@ class BuiltModel:
 def build_progressive_party(instance: dict, cfg: RunConfig) -> BuiltModel:
     """Host assignment matrix with meet-once, revisit, and capacity constraints.
 
+    ``H`` is channelled to a 0/1 matrix ``C`` that the capacity sums read.
+    The channel fixes ``C[i][j][k]`` to 0 once host ``k`` leaves the domain
+    of ``H[i][j]`` and to 1 once ``H[i][j]`` is fixed to ``k``, so each
+    guest's row of ``C`` sums to one without a sum constraint of its own.
+
     Guests are ordered by decreasing crew size; a guest's "row" collects its
     host over all periods, a period's "column" collects all guests of that
     period.  Multiset/lex row orderings are posted only between adjacent
@@ -318,15 +323,12 @@ def build_progressive_party(instance: dict, cfg: RunConfig) -> BuiltModel:
     host_const = [m.new_var({k}) for k in range(h)]
     C = [[[m.new_var({0, 1}) for _ in range(h)] for _ in range(g)] for _ in range(p)]
 
-    # (5) channel H to the 0/1 matrix
+    # (5) channel H to the 0/1 matrix; it also keeps (4), one host per guest
+    # and period
     for i in range(p):
         for j in range(g):
             for k in range(h):
                 m.post(ReifiedEquals(H[i][j], host_const[k], C[i][j][k]))
-    # (4) exactly one host per guest and period
-    for i in range(p):
-        for j in range(g):
-            m.post(sum_eq([C[i][j][k] for k in range(h)], 1))
     # (3) spare capacity per period and host
     for i in range(p):
         for k in range(h):
@@ -376,6 +378,7 @@ def build_rack(instance: dict, cfg: RunConfig) -> BuiltModel:
     """Rack model assignment plus per-rack card counts, minimizing total price.
 
     A zero-power/zero-connector/zero-price dummy model marks unused racks.
+    One table per rack ties its model to its connectors, power and price.
     Same-model racks are interchangeable, so adjacent racks get a conditional
     multiset ordering on their card-count columns when symmetry is enabled.
     """
@@ -396,13 +399,9 @@ def build_rack(instance: dict, cfg: RunConfig) -> BuiltModel:
     conn = [m.new_var({mo["connectors"] for mo in models}) for _ in range(r)]
     power = [m.new_var({mo["power"] for mo in models}) for _ in range(r)]
     price = [m.new_var({mo["price"] for mo in models}) for _ in range(r)]
-    lookup_conn = [(k, mo["connectors"]) for k, mo in enumerate(models)]
-    lookup_power = [(k, mo["power"]) for k, mo in enumerate(models)]
-    lookup_price = [(k, mo["price"]) for k, mo in enumerate(models)]
+    rows = [(k, mo["connectors"], mo["power"], mo["price"]) for k, mo in enumerate(models)]
     for j in range(r):
-        m.post(TableConstraint([R[j], conn[j]], lookup_conn))
-        m.post(TableConstraint([R[j], power[j]], lookup_power))
-        m.post(TableConstraint([R[j], price[j]], lookup_price))
+        m.post(TableConstraint([R[j], conn[j], power[j], price[j]], rows))
         # (1) connector capacity
         m.post(LinearSum([1] * t + [-1], [C[i][j] for i in range(t)] + [conn[j]], "<=", 0))
         # (2) power capacity
@@ -518,15 +517,11 @@ def build_sport(instance: dict, cfg: RunConfig) -> BuiltModel:
 
     # only the real weeks are interchangeable (the dummy week, if any, is
     # pinned by the period counts), so ordering chains stop before it
-    if cfg.symmetry == "mset":
-        for w in range(real_weeks - 1):
-            col_a = [T[j][w][s] for j in range(periods) for s in range(2)]
-            col_b = [T[j][w + 1][s] for j in range(periods) for s in range(2)]
+    cols = [[T[j][w][s] for j in range(periods) for s in range(2)] for w in range(real_weeks)]
+    for col_a, col_b in zip(cols, cols[1:]):
+        if cfg.symmetry == "mset":
             post_mset_ordering(m, col_a, col_b, True, cfg)
-    elif cfg.symmetry == "lex":
-        for w in range(real_weeks - 1):
-            col_a = [T[j][w][s] for j in range(periods) for s in range(2)]
-            col_b = [T[j][w + 1][s] for j in range(periods) for s in range(2)]
+        elif cfg.symmetry == "lex":
             m.post(LexOrdering(col_a, col_b, strict=True))
 
     order = []

@@ -256,36 +256,30 @@ class ArithmeticMultiset(MultisetPair):
         if len(xs) != len(ys) and base <= max(len(xs), len(ys)):
             raise ValueError("with unequal lengths the base must exceed both lengths")
         self.base = base
-        self._powers: list[int] = [1]
+        self._powers: list[int] = []
 
-    def _pow(self, v: int) -> int:
-        powers = self._powers
-        while len(powers) <= v:
-            powers.append(powers[-1] * self.base)
-        return powers[v]
-
-    def post(self, store: Store) -> Status:
-        for v in self.xs + self.ys:
-            if store.min(v) < 0:
-                raise ValueError("arithmetic encoding requires non-negative values")
-        return self.propagate(store)
+    def attach(self, store: Store) -> None:
+        vs = self.xs + self.ys
+        if any(store.min(v) < 0 for v in vs):
+            raise ValueError("arithmetic encoding requires non-negative values")
+        # domains only shrink after set-up, so the table covers every weight
+        top = max((store.max(v) for v in vs), default=0)
+        self._powers = [self.base**k for k in range(top + 1)]
 
     def propagate(self, store: Store) -> Status:
-        pw = self._pow
+        powers = self._powers
         margin = 1 if self.strict else 0
-        lhs_min = sum(pw(store.min(x)) for x in self.xs)
-        rhs_max = sum(pw(store.max(y)) for y in self.ys)
+        lhs_min = sum(powers[store.min(x)] for x in self.xs)
+        rhs_max = sum(powers[store.max(y)] for y in self.ys)
         if lhs_min + margin > rhs_max:
             raise Inconsistent("arithmetic multiset encoding disentailed")
         for x in self.xs:
-            pw(store.max(x))  # make sure the power table covers the domain
-            slack = rhs_max - margin - (lhs_min - pw(store.min(x)))
-            ub = bisect_right(self._powers, slack) - 1
-            store.set_max(x, ub)
+            slack = rhs_max - margin - (lhs_min - powers[store.min(x)])
+            store.set_max(x, bisect_right(powers, slack) - 1)
         for y in self.ys:
-            need = lhs_min + margin - (rhs_max - pw(store.max(y)))
+            need = lhs_min + margin - (rhs_max - powers[store.max(y)])
             if need > 0:
-                store.set_min(y, bisect_left(self._powers, need))
+                store.set_min(y, bisect_left(powers, need))
         return Status.ACTIVE
 
 
@@ -547,9 +541,11 @@ class Conditional(Propagator):
     """Run a body constraint only once two guard variables are fixed equal.
 
     While the guards are undecided nothing is filtered; once they are proven
-    different the wrapper is entailed.  The body must filter statelessly (its
-    ``propagate`` may be first called at any search depth), so incremental
-    variants are not suitable bodies; use their stateless counterparts.
+    different the wrapper is entailed.  Posting the wrapper attaches the body
+    at the root, where the domains are widest, so its set-up (validation,
+    incremental state, watchers) is done before its ``propagate`` first runs
+    at whatever depth the guards meet.  A body's own ``post`` is not run, so
+    a body must not rely on root pruning done there.
     """
 
     def __init__(self, guard_a: int, guard_b: int, body: Propagator) -> None:
@@ -563,6 +559,7 @@ class Conditional(Propagator):
         yield from self.body.subscriptions()
 
     def post(self, store: Store) -> Status:
+        self.body.attach(store)
         return self.propagate(store)
 
     def propagate(self, store: Store) -> Status:

@@ -36,17 +36,25 @@ class SearchTimeout(Exception):
 class Propagator:
     """One constraint's filtering algorithm.
 
-    ``post`` runs once when the network starts up and may do one-off setup
-    (state allocation, watcher registration) before the first filtering pass;
-    ``propagate`` is re-run whenever a subscribed event fires.  Both raise
-    :class:`Inconsistent` on disentailment.  ``check`` is the ground-level
-    semantic test used to verify emitted solutions independently.
+    ``post`` runs once when the network starts up: by default it is
+    ``attach`` followed by ``propagate``.  ``attach`` is the one-off set-up
+    (state allocation, watcher registration, input validation) and prunes
+    nothing; ``post`` is overridden only where the root needs more, such as a
+    one-off pruning.
+    ``propagate`` is re-run whenever a subscribed event fires.  Both ``post``
+    and ``propagate`` raise :class:`Inconsistent` on disentailment.  ``check``
+    is the ground-level semantic test used to verify emitted solutions
+    independently.
     """
 
     def subscriptions(self) -> Iterable[tuple[int, int]]:
         return ()
 
+    def attach(self, store: Store) -> None:
+        pass
+
     def post(self, store: Store) -> Status:
+        self.attach(store)
         return self.propagate(store)
 
     def propagate(self, store: Store) -> Status:
@@ -62,16 +70,10 @@ class Model:
     def __init__(self) -> None:
         self.store = Store()
         self.propagators: list[Propagator] = []
-        self.names: dict[str, int] = {}
         self.objective: Optional[int] = None
 
-    def new_var(self, values: Iterable[int], name: str | None = None) -> int:
-        vid = self.store.new_var(values)
-        if name is not None:
-            if name in self.names:
-                raise ValueError(f"duplicate variable name {name!r}")
-            self.names[name] = vid
-        return vid
+    def new_var(self, values: Iterable[int]) -> int:
+        return self.store.new_var(values)
 
     def post(self, prop: Propagator) -> None:
         self.propagators.append(prop)

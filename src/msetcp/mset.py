@@ -13,14 +13,15 @@ once disentailment has been ruled out.
 
 The filters differ only in where the counts come from.
 :class:`MultisetOrdering` keeps occurrence vectors over the values renamed
-onto ``0..d-1`` at post time, in time linear in the vector length plus the
+onto ``0..d-1`` when attached, in time linear in the vector length plus the
 number of distinct values.  :class:`SortedMultisetOrdering` keeps descending
 sorted vectors and merges them into run-length counts on every call
 (:func:`_runs`), as far as the scan reads, at a cost independent of the size
 of the value range.
 :class:`StatelessMultisetOrdering` sorts its bounds and runs the same merge
-on every call, which suits conditional bodies.  The two dedicated filters
-keep their vectors in step through bound watchers, across backtracking too.
+on every call and keeps nothing.  The two dedicated filters set up their
+vectors in ``attach`` and keep them in step through bound watchers, across
+backtracking too.
 """
 
 from __future__ import annotations
@@ -225,7 +226,7 @@ class MultisetPair(Propagator):
 class MultisetOrdering(MultisetPair):
     """Occurrence-vector filter for ``{{X}} <=m {{Y}}`` (``<m`` with strict).
 
-    Domain values are renamed once at post time onto the contiguous range
+    Domain values are renamed once, when attached, onto the contiguous range
     ``0..d-1`` so the count vectors stay dense.  With ``entailment=True`` a
     second pair of occurrence vectors (over ``max(X_i)`` and ``min(Y_i)``) is
     maintained and the filter detects when every remaining completion
@@ -252,7 +253,7 @@ class MultisetOrdering(MultisetPair):
 
     # -- setup ----------------------------------------------------------------
 
-    def post(self, store: Store) -> Status:
+    def attach(self, store: Store) -> None:
         self._rank, self._unrank = _rank_map(store, self.xs + self.ys)
         counts = self.rebuilt_counts(store)
         self.xmin_counts, self.ymax_counts = counts[0], counts[1]
@@ -262,7 +263,6 @@ class MultisetOrdering(MultisetPair):
             store.watch_bounds(x, self._x_bounds_changed)
         for y in self.ys:
             store.watch_bounds(y, self._y_bounds_changed)
-        return self.propagate(store)
 
     # -- incremental maintenance -----------------------------------------------
 
@@ -320,7 +320,7 @@ class MultisetOrdering(MultisetPair):
     def entailed(self) -> bool:
         """Whether every completion of the current domains satisfies the
         ordering; only tracked (and only true) with ``entailment=True``, once
-        posted.  Follows the domains across backtracking, as the counts do."""
+        attached.  Follows the domains across backtracking, as the counts do."""
         return self.xmax_counts is not None and self.entailment_holds()
 
     def propagate(self, store: Store) -> Status:
@@ -336,11 +336,11 @@ class MultisetOrdering(MultisetPair):
 class StatelessMultisetOrdering(MultisetPair):
     """Filter that sorts its bounds afresh on every call.
 
-    Prunes exactly like :class:`MultisetOrdering` but keeps no post-time
-    state, which makes it a valid :class:`~msetcp.constraints.Conditional`
-    body: its ``propagate`` may first run at any search depth.  Each call
-    sorts ``min(X_i)`` and ``max(Y_i)`` and merges them into run-length
-    counts, as :class:`SortedMultisetOrdering` does with its kept vectors.
+    Prunes exactly like :class:`MultisetOrdering` but keeps no state; the
+    benchmark's conditional orderings use it as their
+    :class:`~msetcp.constraints.Conditional` body.  Each call sorts
+    ``min(X_i)`` and ``max(Y_i)`` and merges them into run-length counts, as
+    :class:`SortedMultisetOrdering` does with its kept vectors.
     """
 
     def propagate(self, store: Store) -> Status:
@@ -367,13 +367,12 @@ class SortedMultisetOrdering(MultisetPair):
         self.ymax_sorted: list[int] = []
         self.last_flags: Optional[Flags] = None
 
-    def post(self, store: Store) -> Status:
+    def attach(self, store: Store) -> None:
         self.xmin_sorted, self.ymax_sorted = self.rebuilt_sorted(store)
         for x in self.xs:
             store.watch_bounds(x, self._x_bounds_changed)
         for y in self.ys:
             store.watch_bounds(y, self._y_bounds_changed)
-        return self.propagate(store)
 
     # -- incremental maintenance -------------------------------------------------
 

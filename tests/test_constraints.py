@@ -17,7 +17,7 @@ from msetcp.constraints import (
     StatelessMultisetOrdering,
     sum_eq,
 )
-from msetcp.engine import Model, Solver, Status, propagate_to_fixpoint
+from msetcp.engine import Branching, Model, Solver, Status, propagate_to_fixpoint, solve_first
 from msetcp.mset import MultisetOrdering
 from msetcp.store import Inconsistent, Store
 
@@ -756,6 +756,34 @@ class TestReifiedAndConditional:
         m.post(Conditional(ra, rb, StatelessMultisetOrdering(xs, ys)))
         doms = fixpoint(m)
         assert doms is not None  # body would fail, but it never activates
+
+    @pytest.mark.parametrize("guards", [({1}, {1}), ({0, 1}, {0, 1})])
+    def test_conditional_attaches_its_body(self, guards):
+        # posted alone this body rejects negative values; as a body it must
+        # reject them too, whether or not the guards are decided
+        m = Model()
+        ra, rb = (m.new_var(g) for g in guards)
+        xs = [m.new_var({-1, 0}), m.new_var({-1, 0})]
+        ys = [m.new_var({-1}), m.new_var({-1, 0})]
+        m.post(Conditional(ra, rb, ArithmeticMultiset(xs, ys, base=2)))
+        with pytest.raises(ValueError, match="non-negative"):
+            propagate_to_fixpoint(m)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_incremental_body_searches_like_stateless_body(self, strict):
+        # the guards meet only inside the search, so the incremental body's
+        # first propagate runs below the root it was attached at
+        for xd, yd in oracle.random_instances(150, seed=95 + strict, max_len=3, max_values=3):
+            trees = []
+            for cls in (StatelessMultisetOrdering, MultisetOrdering):
+                m = Model()
+                ra, rb = m.new_var({0, 1}), m.new_var({0, 1})
+                xs = [m.new_var(d) for d in xd]
+                ys = [m.new_var(d) for d in yd]
+                m.post(Conditional(ra, rb, cls(xs, ys, strict=strict)))
+                sol, stats = solve_first(m, Branching([ra, rb] + xs + ys))
+                trees.append((sol, stats.choice_points, stats.fails))
+            assert trees[0] == trees[1], (xd, yd)
 
 
 class TestLessThan:

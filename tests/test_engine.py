@@ -341,6 +341,9 @@ PINNED_TREES = [
     ("party_toy", "lex", "algorithm", (1, 0, "solved", None)),
     ("party_toy", "mset", "algorithm", (3, 1, "solved", None)),
     ("party_2", "none", "algorithm", (133, 5, "solved", None)),
+    ("party_2", "lex", "algorithm", (3319, 2078, "solved", None)),
+    ("rack_4", "mset", "algorithm-sorted", (190, 132, "solved", 750)),
+    ("rack_6", "mset", "arith", (356, 275, "solved", 800)),
 ]
 
 
