@@ -3,21 +3,24 @@
 Filtering strengths are deliberately heterogeneous and documented per class:
 the lexicographic ordering filter is GAC; the cardinality filter and the
 sortedness channel are bounds-and-counting filters (not full GAC) built on
-one per-value tally and one force/forbid rule, one pass per call, left to the
+one per-value count and one force/forbid rule, one pass per call, left to the
 engine's queue to re-run; all-different only reacts to instantiations.  The
-linear sums are bounds consistent from one read of the domains per call: a
-term is cut only when its span exceeds the slack, and a sum is entailed as
-soon as its worst case holds, fixed variables or not.  The table constraint
-is GAC by support bitsets (one bit per allowed tuple, one AND per variable)
-and is entailed when exactly one allowed tuple is left.  The arithmetic
-encoding of the multiset ordering uses exact big-integer weights and is
-bounds consistent, which for that constraint coincides with GAC.
+table, all-different, lexicographic, ``x < y`` and ``<=`` sum filters reach
+their own fixpoint in one call and declare ``idempotent``, so the engine does
+not wake them on their own events; all but all-different only while their
+variables are distinct, as a variable listed twice lets one cut enable
+another.  The linear sums are bounds consistent from one read of the domains
+per call: a term is cut only when its span exceeds the slack, and a sum is
+entailed as soon as its worst case holds, fixed variables or not.  The table
+constraint is GAC by support bitsets (one bit per allowed tuple, one AND per
+variable) and is entailed when exactly one allowed tuple is left.  The
+arithmetic encoding of the multiset ordering uses exact big-integer weights
+and is bounds consistent, which for that constraint coincides with GAC.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
 from typing import Sequence
 
 from .engine import Propagator, Status
@@ -27,12 +30,20 @@ from .order import Ordering, lex_cmp, sort_desc
 from .store import EventKind, Inconsistent, Store
 
 
+def _distinct(variables: Sequence[int]) -> bool:
+    """No variable listed twice: the condition under which the table, lex,
+    ``x < y`` and ``<=`` sum filters are idempotent."""
+    return len(set(variables)) == len(variables)
+
+
 class LexOrdering(Propagator):
     """GAC filter for ``X <=lex Y`` (``<lex`` with strict), equal lengths.
 
     Walks the most significant indices whose pairs are not yet fixed equal;
     at the first such index the pair is forced weakly or strictly ordered
     depending on whether the remaining suffix can still rescue equality.
+    Being GAC, one call reaches its own fixpoint: it is idempotent while its
+    variables are distinct.
     """
 
     def __init__(self, xs: Sequence[int], ys: Sequence[int], strict: bool = False) -> None:
@@ -41,6 +52,7 @@ class LexOrdering(Propagator):
         self.xs = list(xs)
         self.ys = list(ys)
         self.strict = strict
+        self.idempotent = _distinct(self.xs + self.ys)
 
     def subscriptions(self):
         for v in self.xs:
@@ -101,32 +113,54 @@ class LexOrdering(Propagator):
         return cmp is not Ordering.GREATER
 
 
-def _tally(store: Store, variables: Sequence[int]) -> dict[int, list]:
-    """``{value: [fixed, candidates]}`` over the union of the domains: how many
-    of ``variables`` are fixed to each value and which unfixed ones can still
-    take it.  Reads each domain tuple once."""
-    tally: dict[int, list] = defaultdict(lambda: [0, []])
-    for x, dom in zip(variables, map(store.values, variables)):
+def _tally(store: Store, variables: Sequence[int]) -> tuple[list, dict[int, int], dict[int, int]]:
+    """``(domains, fixed, free)`` from one read of each domain tuple: the
+    domains of ``variables`` in order, and per value how many variables are
+    fixed to it and how many unfixed ones still hold it.  Only counts are
+    kept; :func:`_settle` finds the holders of a value in the snapshot when it
+    needs them."""
+    doms = list(map(store.values, variables))
+    fixed: dict[int, int] = {}
+    free: dict[int, int] = {}
+    for dom in doms:
         if len(dom) == 1:
-            tally[dom[0]][0] += 1
+            val = dom[0]
+            fixed[val] = fixed.get(val, 0) + 1
         else:
             for val in dom:
-                tally[val][1].append(x)
-    return tally
+                free[val] = free.get(val, 0) + 1
+    return doms, fixed, free
 
 
-def _settle(store: Store, val: int, fixed: int, cands: Sequence[int], lo: int, hi: int) -> None:
-    """Force or forbid ``val``, which occurs ``lo..hi`` times among variables
-    of which ``fixed`` take it and ``cands`` still may: every candidate takes
-    it when ``lo`` needs them all, none when ``fixed`` already reaches ``hi``.
-    A tally taken before cuts made since is a superset of the domains, so both
-    cuts stay implied and fail exactly when the counts are infeasible."""
-    if lo == fixed + len(cands):
-        for x in cands:
-            store.assign(x, val)
+def _settle(
+    store: Store,
+    val: int,
+    fixed: int,
+    free: int,
+    lo: int,
+    hi: int,
+    variables: Sequence[int],
+    doms: Sequence[tuple[int, ...]],
+) -> None:
+    """Force or forbid ``val``, which occurs ``lo..hi`` times among
+    ``variables`` of which ``fixed`` take it and ``free`` unfixed ones still
+    may: every holder takes it when ``lo`` needs them all, none when
+    ``fixed`` already reaches ``hi``.  The holders are read from ``doms``, the
+    snapshot of :func:`_tally`, in ``variables`` order, and only when a rule
+    fires.  A snapshot taken before cuts made since is a superset of the
+    domains, so both cuts stay implied and fail exactly when the counts are
+    infeasible."""
+    if not free:
+        return
+    if lo == fixed + free:
+        cut = store.assign
     elif hi == fixed:
-        for x in cands:
-            store.remove(x, val)
+        cut = store.remove
+    else:
+        return
+    for x, dom in zip(variables, doms):
+        if len(dom) > 1 and val in dom:
+            cut(x, val)
 
 
 class Cardinality(Propagator):
@@ -134,9 +168,13 @@ class Cardinality(Propagator):
 
     ``occ[k]`` counts how many of ``xs`` take ``values[k]``; the value list is
     strictly decreasing and must cover every value the variables can take.
-    Occurrence bounds are tightened from the fixed/candidate counts, and
+    Occurrence bounds are tightened from the fixed/holder counts, and
     saturated bounds force or forbid values on the variable side, in one pass
-    per call: the engine re-runs it on its own events.
+    per call: the engine re-runs it on its own events (it is not idempotent,
+    since a forced or forbidden value changes the counts of other values).
+    One call reads each variable's domain once (:func:`_tally`) and each
+    ``occ`` domain once, and calls ``set_min``/``set_max`` on an ``occ`` only
+    when that moves its bound.
     """
 
     def __init__(self, xs: Sequence[int], values: Sequence[int], occ: Sequence[int]) -> None:
@@ -161,12 +199,20 @@ class Cardinality(Propagator):
         return self.propagate(store)
 
     def propagate(self, store: Store) -> Status:
-        tally = _tally(store, self.xs)
+        xs = self.xs
+        domain = store.values
+        doms, fixed, free = _tally(store, xs)
         for val, o in zip(self.vals, self.occ):
-            fixed, cands = tally[val]
-            store.set_min(o, fixed)
-            store.set_max(o, fixed + len(cands))
-            _settle(store, val, fixed, cands, store.min(o), store.max(o))
+            least = fixed.get(val, 0)
+            most = least + free.get(val, 0)
+            count = domain(o)
+            if count[0] < least:
+                store.set_min(o, least)
+                count = domain(o)
+            if count[-1] > most:
+                store.set_max(o, most)
+                count = domain(o)
+            _settle(store, val, least, most - least, count[0], count[-1], xs, doms)
         return Status.ACTIVE
 
     def check(self, values: Sequence[int]) -> bool:
@@ -213,17 +259,17 @@ class SortednessLink(Propagator):
             store.set_max(sxs[k], maxs[k])
             store.set_min(sxs[k], mins[k])
         # per-value occurrence counts must agree
-        x_tally = _tally(store, xs)
-        s_tally = _tally(store, sxs)
-        for val in x_tally.keys() | s_tally.keys():
-            x_fixed, x_cands = x_tally[val]
-            s_fixed, s_cands = s_tally[val]
-            lo = max(x_fixed, s_fixed)
-            hi = min(x_fixed + len(x_cands), s_fixed + len(s_cands))
+        x_doms, x_fixed, x_free = _tally(store, xs)
+        s_doms, s_fixed, s_free = _tally(store, sxs)
+        for val in x_fixed.keys() | x_free.keys() | s_fixed.keys() | s_free.keys():
+            xf, xc = x_fixed.get(val, 0), x_free.get(val, 0)
+            sf, sc = s_fixed.get(val, 0), s_free.get(val, 0)
+            lo = max(xf, sf)
+            hi = min(xf + xc, sf + sc)
             if lo > hi:
                 raise Inconsistent(f"sortedness: value {val} count mismatch")
-            _settle(store, val, x_fixed, x_cands, lo, hi)
-            _settle(store, val, s_fixed, s_cands, lo, hi)
+            _settle(store, val, xf, xc, lo, hi, xs, x_doms)
+            _settle(store, val, sf, sc, lo, hi, sxs, s_doms)
         return Status.ACTIVE
 
     def check(self, values: Sequence[int]) -> bool:
@@ -286,9 +332,15 @@ class ArithmeticMultiset(MultisetPair):
 class AllDifferent(Propagator):
     """Instantiation-triggered all-different (weaker than matching-based GAC).
 
-    A fixed variable's value is removed from every other domain; cascades
-    within one call.  Unfixed variables are never pruned against each other.
+    The values of the fixed variables are removed from every other domain,
+    cascading within one call, so a call is idempotent.  A call reads each
+    domain once: the fixed values go in a set (a repeated one is a failure),
+    an unfixed variable is narrowed by one ``retain`` only when its domain
+    meets that set, and the next round looks only for the values that this
+    narrowing fixed.  Unfixed variables are never pruned against each other.
     """
+
+    idempotent = True
 
     def __init__(self, xs: Sequence[int]) -> None:
         self.xs = list(xs)
@@ -298,28 +350,33 @@ class AllDifferent(Propagator):
             yield v, EventKind.INSTANTIATED
 
     def propagate(self, store: Store) -> Status:
-        xs = self.xs
         domain = store.values
-        done: set[int] = set()
-        while True:
-            progress = False
-            for x in xs:
-                if x in done:
+        fresh: set[int] = set()  # values fixed since the last narrowing
+        unfixed = []
+        for x, dom in zip(self.xs, map(domain, self.xs)):
+            if len(dom) > 1:
+                unfixed.append((x, dom))
+            elif dom[0] in fresh:
+                raise Inconsistent("all-different: duplicate value")
+            else:
+                fresh.add(dom[0])
+        while fresh and unfixed:
+            rest = []
+            newly: set[int] = set()
+            for x, dom in unfixed:
+                if fresh.isdisjoint(dom):
+                    rest.append((x, dom))
                     continue
+                store.retain(x, set(dom).difference(fresh))
                 dom = domain(x)
-                if len(dom) != 1:
-                    continue
-                val = dom[0]
-                for other in xs:
-                    if other != x and val in domain(other):
-                        if len(domain(other)) == 1:
-                            raise Inconsistent("all-different: duplicate value")
-                        store.remove(other, val)
-                done.add(x)
-                progress = True
-            if not progress:
-                break
-        if len(done) == len(xs):
+                if len(dom) > 1:
+                    rest.append((x, dom))
+                elif dom[0] in newly:
+                    raise Inconsistent("all-different: duplicate value")
+                else:
+                    newly.add(dom[0])
+            unfixed, fresh = rest, newly
+        if not unfixed:
             return Status.ENTAILED
         return Status.ACTIVE
 
@@ -339,6 +396,9 @@ class TableConstraint(Propagator):
     holding such a value is narrowed.  The constraint is entailed when
     exactly one live tuple is left, since every domain is then that tuple's
     value.  The live set is recomputed from the domains, so nothing is trailed.
+    Every tuple live before the narrowing is live after it, so a second call
+    finds the same live set and narrows nothing: the filter is idempotent
+    while its variables are distinct.
     """
 
     def __init__(self, xs: Sequence[int], tuples: Sequence[tuple[int, ...]]) -> None:
@@ -346,6 +406,7 @@ class TableConstraint(Propagator):
         if any(len(t) != arity for t in tuples):
             raise ValueError("tuple arity mismatch")
         self.xs = list(xs)
+        self.idempotent = _distinct(self.xs)
         self.tuples = [tuple(t) for t in tuples]
         self._allowed = frozenset(self.tuples)
         self._all = (1 << len(self.tuples)) - 1
@@ -395,6 +456,9 @@ class LinearSum(Propagator):
     nothing.  Cuts on one side may leave the other side's bounds of the
     snapshot a little stale; what they cut is still implied, and the engine
     re-queues the sum on its own events, so the fixpoint is the textbook one.
+    A ``<=`` sum over distinct variables is idempotent: its cuts never move
+    ``lo``, so after one call every span fits the room and a second call cuts
+    nothing.  An ``==`` sum is not, as its lower-side cuts raise ``lo``.
     """
 
     def __init__(
@@ -413,6 +477,7 @@ class LinearSum(Propagator):
         self.xs = [x for _, x in pairs]
         self.relation = relation
         self.constant = constant
+        self.idempotent = relation == "<=" and _distinct(self.xs)
 
     def subscriptions(self):
         for v in self.xs:
@@ -468,11 +533,13 @@ def sum_eq(xs: Sequence[int], constant: int) -> LinearSum:
 
 
 class LessThan(Propagator):
-    """GAC on ``x < y``."""
+    """GAC on ``x < y``; idempotent for two distinct variables, as neither cut
+    moves the bound the other one reads."""
 
     def __init__(self, x: int, y: int) -> None:
         self.x = x
         self.y = y
+        self.idempotent = x != y
 
     def subscriptions(self):
         yield self.x, EventKind.BOUNDS

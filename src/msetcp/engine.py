@@ -1,16 +1,21 @@
 """Constraint network and search: fixpoint loop, DFS labelling, branch and bound.
 
 Propagators subscribe to variable events through an int mask; the fixpoint
-loop is a FIFO queue with per-propagator deduplication.  A propagator is
-re-queued by the events its own pruning raises, so a filter subscribed to all
-of them need not loop to its own fixpoint: one pass per call suffices.  A
-propagator that reports ENTAILED is deactivated for the rest of the branch
-(the flag is trailed, so backtracking reactivates it).  Search uses static
-variable orders with per-model value orders.  The DFS keeps its open nodes on
-an explicit stack, so its depth is not bounded by the interpreter's recursion
-limit, and each node resumes the scan for the next unfixed variable where its
-parent's scan stopped (domains only shrink down a branch).  Every emitted
-solution is re-checked against the ground semantics of all posted constraints.
+loop is a FIFO queue with per-propagator deduplication, fed the store's raw
+events (one per shrink; the queued flag drops repeated wakes).  A propagator
+that is not declared idempotent is re-queued by the events its own pruning
+raises, so a filter subscribed to all of them need not loop to its own
+fixpoint: one pass per call suffices.  An idempotent propagator (one call
+always leaves it at its own fixpoint) is not woken by its own events, only by
+other propagators' and by search decisions (Schulte & Stuckey, "Efficient
+Constraint Propagation Engines", TOPLAS 2008).  A propagator that reports
+ENTAILED is deactivated for the rest of the branch (the flag is trailed, so
+backtracking reactivates it).  Search uses static variable orders with
+per-model value orders.  The DFS keeps its open nodes on an explicit stack, so
+its depth is not bounded by the interpreter's recursion limit, and each node
+resumes the scan for the next unfixed variable where its parent's scan
+stopped (domains only shrink down a branch).  Every emitted solution is
+re-checked against the ground semantics of all posted constraints.
 """
 
 from __future__ import annotations
@@ -45,7 +50,17 @@ class Propagator:
     and ``propagate`` raise :class:`Inconsistent` on disentailment.  ``check``
     is the ground-level semantic test used to verify emitted solutions
     independently.
+
+    ``idempotent`` declares that one ``propagate`` (or ``post``) always leaves
+    the propagator at its own fixpoint: run again at once, it would change no
+    domain and raise nothing.  The engine then does not re-queue it on the
+    events of its own call.  Declare it on the class, or per instance where
+    it depends on the arguments (such as a variable listed twice), and only
+    when it holds for every domain; a wrong declaration loses pruning
+    silently.
     """
+
+    idempotent = False
 
     def subscriptions(self) -> Iterable[tuple[int, int]]:
         return ()
@@ -131,6 +146,7 @@ class Solver:
         for idx, prop in enumerate(self.props):
             for var, mask in prop.subscriptions():
                 self._subs.setdefault(var, []).append((idx, mask))
+        self._idempotent = [prop.idempotent for prop in self.props]
         self._active = [True] * n
         self._posted = [False] * n
         self._queue: deque[int] = deque(range(n))
@@ -148,7 +164,7 @@ class Solver:
 
         self.store.trail_undo(undo)
 
-    def _wake_for(self, raw_events: list[tuple[int, int]]) -> None:
+    def _wake_for(self, raw_events: Iterable[tuple[int, int]]) -> None:
         subs, active, queued = self._subs, self._active, self._queued
         enqueue = self._queue.append
         for var, kinds in raw_events:
@@ -158,28 +174,45 @@ class Solver:
                     enqueue(idx)
 
     def fixpoint(self) -> None:
-        """Run queued propagators until no propagator changes any domain."""
+        """Run queued propagators until no propagator changes any domain.
+
+        An idempotent propagator stays marked as queued while the events of
+        its own call are dispatched, so they do not wake it again."""
         store = self.store
         queue = self._queue
+        popleft = queue.popleft
+        props, active, posted = self.props, self._active, self._posted
+        queued, idempotent = self._queued, self._idempotent
+        drain = store.drain_events
+        wake = self._wake_for
+        entailed = Status.ENTAILED
         try:
             while queue:
-                idx = queue.popleft()
-                self._queued[idx] = False
-                if not self._active[idx]:
+                idx = popleft()
+                if not active[idx]:
+                    queued[idx] = False
                     continue
-                prop = self.props[idx]
-                if self._posted[idx]:
+                idem = idempotent[idx]
+                if not idem:
+                    queued[idx] = False
+                prop = props[idx]
+                if posted[idx]:
                     status = prop.propagate(store)
                 else:
-                    self._posted[idx] = True
+                    posted[idx] = True
                     status = prop.post(store)
-                if status is Status.ENTAILED:
+                if status is entailed:
                     self._deactivate(idx)
-                self._wake_for(store.take_raw_events())
+                events = drain()
+                if events:
+                    wake(events)
+                if idem:
+                    queued[idx] = False
         except Inconsistent:
+            for i in queue:
+                queued[i] = False
             queue.clear()
-            for i in range(len(self._queued)):
-                self._queued[i] = False
+            queued[idx] = False
             store.discard_events()
             raise
 

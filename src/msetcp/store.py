@@ -7,13 +7,16 @@ min/max transition, in both directions (shrink and restore), which lets
 propagators keep derived state such as occurrence vectors in sync with the
 domains at all times.  Modification events are plain int bit masks (the
 :class:`EventKind` constants), so building, merging and testing them costs
-one int operation each.
+one int operation each.  Pending events are drained either raw, one pair per
+shrink in the order raised (:meth:`Store.drain_events`, what the engine's
+fixpoint loop reads), or coalesced per variable
+(:meth:`Store.take_raw_events`, built on the raw drain).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 
 class Inconsistent(Exception):
@@ -39,7 +42,11 @@ _UNDO = -1  # trail tag for generic undo closures
 
 
 class Store:
-    """Variable store: domains, trail, checkpoints, events, watchers."""
+    """Variable store: domains, trail, checkpoints, events, watchers.
+
+    Every shrink appends one (var, kind-mask) event; :meth:`drain_events`
+    hands them over raw and :meth:`take_raw_events` coalesced per variable.
+    """
 
     __slots__ = ("_values", "_trail", "_marks", "_watchers", "_events")
 
@@ -154,7 +161,7 @@ class Store:
     def retain(self, var: int, allowed) -> bool:
         """Keep only the values present in ``allowed`` (a set-like)."""
         vals = self._values[var]
-        kept = tuple(v for v in vals if v in allowed)
+        kept = tuple(filter(allowed.__contains__, vals))
         if len(kept) == len(vals):
             return False
         if not kept:
@@ -193,14 +200,22 @@ class Store:
     def watch_bounds(self, var: int, cb: BoundWatcher) -> None:
         self._watchers[var].append(cb)
 
+    def drain_events(self) -> Sequence[tuple[int, int]]:
+        """Drain pending (var, kind-mask) pairs as raised: one per shrink, in
+        order, a variable repeated when it shrank more than once.  An empty
+        tuple when nothing is pending, so the common empty drain allocates
+        nothing."""
+        events = self._events
+        if not events:
+            return ()
+        self._events = []
+        return events
+
     def take_raw_events(self) -> list[tuple[int, int]]:
         """Drain pending (var, kind-mask) pairs, coalesced per variable."""
-        if not self._events:
-            return []
         merged: dict[int, int] = {}
-        for var, kinds in self._events:
+        for var, kinds in self.drain_events():
             merged[var] = merged.get(var, 0) | kinds
-        self._events.clear()
         return list(merged.items())
 
     def discard_events(self) -> None:

@@ -15,6 +15,7 @@ from msetcp.constraints import (
     ReifiedEquals,
     SortednessLink,
     StatelessMultisetOrdering,
+    TableConstraint,
     sum_eq,
 )
 from msetcp.engine import Branching, Model, Solver, Status, propagate_to_fixpoint, solve_first
@@ -191,6 +192,57 @@ class TestCardinality:
                     xv.count(v) in doms[o] for v, o in zip(values, occ)
                 ), (xd, od, xv)
 
+    def test_matches_reference_fixpoint(self):
+        """Domains and failure agree with applying the counting rules (occ
+        bounds from the fixed and holder counts, then force or forbid the
+        value) until nothing changes, on random small instances."""
+        import random
+
+        def reference(values, xd, od):
+            xd = [set(d) & set(values) for d in xd]
+            od = [set(d) for d in od]
+            if not all(xd):
+                return None
+            changed = True
+            while changed:
+                changed = False
+                for k, val in enumerate(values):
+                    fixed = sum(d == {val} for d in xd)
+                    holders = [d for d in xd if len(d) > 1 and val in d]
+                    kept = {c for c in od[k] if fixed <= c <= fixed + len(holders)}
+                    if not kept:
+                        return None
+                    if kept != od[k]:
+                        od[k] = kept
+                        changed = True
+                    if holders and min(kept) == fixed + len(holders):
+                        for d in holders:
+                            d.intersection_update({val})
+                        changed = True
+                    elif holders and max(kept) == fixed:
+                        for d in holders:
+                            d.discard(val)
+                        changed = True
+            return xd + od
+
+        rng = random.Random(41)
+        failures = pruned = 0
+        for _ in range(800):
+            n = rng.randint(1, 4)
+            values = sorted(rng.sample(range(4), rng.randint(1, 4)), reverse=True)
+            xd = [set(rng.sample(values + [4], rng.randint(1, len(values)))) for _ in range(n)]
+            od = [set(rng.sample(range(n + 1), rng.randint(n // 2 + 1, n + 1))) for _ in values]
+            m = Model()
+            xs = [m.new_var(d) for d in xd]
+            occ = [m.new_var(d) for d in od]
+            m.post(Cardinality(xs, values, occ))
+            got = project(fixpoint(m), xs + occ)
+            assert got == reference(values, xd, od), (values, xd, od)
+            failures += got is None
+            pruned += got is not None and got[:n] != [d & set(values) for d in xd]
+        assert 100 < failures < 700
+        assert pruned > 100
+
     def test_value_list_must_decrease(self):
         s = Store()
         v = s.new_var({0})
@@ -299,6 +351,146 @@ def test_counting_fixpoint_is_stable(encoding):
     assert stable > 200
 
 
+def _random_table(rng, store):
+    arity = rng.randint(1, 3)
+    xs = [store.new_var(rng.sample(range(4), rng.randint(1, 4))) for _ in range(arity)]
+    tuples = {tuple(rng.randrange(4) for _ in range(arity)) for _ in range(rng.randint(1, 10))}
+    return TableConstraint(xs, sorted(tuples))
+
+
+def _random_all_different(rng, store):
+    n = rng.randint(1, 6)
+    return AllDifferent([store.new_var(rng.sample(range(5), rng.choice((1, 1, 2, 3)))) for _ in range(n)])
+
+
+def _random_lex(strict):
+    def build(rng, store):
+        n = rng.randint(1, 4)
+        xs = [store.new_var(rng.sample(range(4), rng.randint(1, 3))) for _ in range(n)]
+        ys = [store.new_var(rng.sample(range(4), rng.randint(1, 3))) for _ in range(n)]
+        return LexOrdering(xs, ys, strict=strict)
+
+    return build
+
+
+def _random_less_than(rng, store):
+    x, y = (store.new_var(rng.sample(range(6), rng.randint(1, 4))) for _ in range(2))
+    return LessThan(x, y)
+
+
+def _random_sum(relation):
+    def build(rng, store):
+        n = rng.randint(1, 4)
+        coeffs = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)]
+        xs = [store.new_var(rng.sample(range(-2, 5), rng.randint(1, 4))) for _ in range(n)]
+        return LinearSum(coeffs, xs, relation, rng.randint(-6, 6))
+
+    return build
+
+
+def _random_cardinality(rng, store):
+    n = rng.randint(1, 4)
+    values = sorted(rng.sample(range(4), rng.randint(1, 4)), reverse=True)
+    xs = [store.new_var(rng.sample(values, rng.randint(1, len(values)))) for _ in range(n)]
+    occ = [store.new_var(rng.sample(range(n + 1), rng.randint(1, n + 1))) for _ in values]
+    return Cardinality(xs, values, occ)
+
+
+# case -> (random instance builder, whether the propagator declares idempotent)
+IDEMPOTENCE_CASES = {
+    "table": (_random_table, True),
+    "all-different": (_random_all_different, True),
+    "lex": (_random_lex(False), True),
+    "lex-strict": (_random_lex(True), True),
+    "less-than": (_random_less_than, True),
+    "sum-le": (_random_sum("<="), True),
+    "sum-eq": (_random_sum("=="), False),
+    "cardinality": (_random_cardinality, False),
+}
+
+
+@pytest.mark.parametrize("case", list(IDEMPOTENCE_CASES))
+def test_idempotent_declaration_holds(case):
+    """A propagator that declares ``idempotent`` is at its own fixpoint after
+    one call: on random small instances, after ``post`` and an event drain, a
+    second ``propagate`` raises no event and no Inconsistent.  For the two
+    that do not declare it, the same check finds second calls that prune."""
+    import random
+
+    build, declared = IDEMPOTENCE_CASES[case]
+    rng = random.Random(case)
+    pruned = second = 0
+    for _ in range(1500):
+        store = Store()
+        prop = build(rng, store)
+        assert prop.idempotent is declared
+        try:
+            prop.post(store)
+        except Inconsistent:
+            continue
+        pruned += bool(store.take_raw_events())
+        if declared:
+            prop.propagate(store)
+            assert store.take_raw_events() == [], (case, prop.__dict__)
+            continue
+        try:
+            prop.propagate(store)
+            second += bool(store.take_raw_events())
+        except Inconsistent:
+            second += 1
+    assert pruned > 100
+    assert declared or second > 0
+
+
+class AliasingStore(Store):
+    """A store whose ``new_var`` hands back an earlier variable half the
+    time, so the random builders above list variables more than once."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.rng = rng
+
+    def new_var(self, values):
+        if self.num_vars() and self.rng.random() < 0.5:
+            return self.rng.randrange(self.num_vars())
+        return super().new_var(values)
+
+
+@pytest.mark.parametrize("case", ["table", "lex", "lex-strict", "less-than", "sum-le"])
+def test_aliased_variables_reach_own_fixpoint(case):
+    """With a variable listed twice one cut can enable another, so these
+    filters declare ``idempotent`` only over distinct variables, and the
+    engine's fixpoint equals calling ``propagate`` until nothing changes."""
+    import random
+
+    build, _ = IDEMPOTENCE_CASES[case]
+    rng = random.Random(case)
+    resumed = 0
+    for _ in range(1500):
+        seeds = rng.random(), rng.random()
+        m = Model()
+        m.store = AliasingStore(random.Random(seeds[0]))
+        m.post(build(random.Random(seeds[1]), m.store))
+        got = fixpoint(m)
+        store = AliasingStore(random.Random(seeds[0]))
+        prop = build(random.Random(seeds[1]), store)
+        done = 0  # calls that returned
+        try:
+            prop.post(store)
+            done = 1
+            while store.take_raw_events():
+                prop.propagate(store)
+                done += 1
+            expected = [set(store.values(v)) for v in range(store.num_vars())]
+        except Inconsistent:
+            expected = None
+        assert got == expected, (case, prop.__dict__)
+        if done > 2 or (done and expected is None):  # a call after the first pruned
+            assert not prop.idempotent, (case, prop.__dict__)
+            resumed += 1
+    assert resumed > 0
+
+
 class TestArithmeticMultiset:
     def test_unsupported_value_pruned(self):
         # base 2: X_0=3 gives lhs 12 > max rhs 10
@@ -373,6 +565,14 @@ class TestAllDifferent:
         b = m.new_var({1})
         m.post(AllDifferent([a, b]))
         assert fixpoint(m) is None
+
+    def test_repeated_variable_fails_once_fixed(self):
+        # a variable listed twice equals itself, so the constraint cannot hold
+        m = Model()
+        x = m.new_var({1, 2})
+        m.post(AllDifferent([x, x]))
+        sol, stats = solve_first(m, Branching([x]))
+        assert sol is None and stats.fails == 2
 
     def test_pigeonhole_not_detected_until_instantiation(self):
         # documented weaker-than-GAC behaviour: no pruning while all unfixed

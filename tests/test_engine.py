@@ -11,14 +11,17 @@ from msetcp.constraints import AllDifferent, LessThan, LinearSum, sum_eq
 from msetcp.engine import (
     Branching,
     Model,
+    Propagator,
     SearchTimeout,
     Solver,
+    Status,
     descending,
     propagate_to_fixpoint,
     solve_first,
     solve_optimal,
 )
 from msetcp.mset import MultisetOrdering
+from msetcp.store import EventKind, Inconsistent
 
 
 
@@ -94,6 +97,92 @@ class TestFixpoint:
         s._wake_for(m.store.take_raw_events())
         s.fixpoint()
         assert len(calls) == n_calls  # entailed at root, never woken again
+
+
+class EvenCap(Propagator):
+    """Spy: caps ``x`` at its largest even value, so each of its calls may
+    prune ``x`` and a second call in a row never does."""
+
+    def __init__(self, x, idempotent):
+        self.x = x
+        self.idempotent = idempotent
+        self.calls = 0
+
+    def subscriptions(self):
+        yield self.x, EventKind.BOUNDS
+
+    def propagate(self, store):
+        self.calls += 1
+        store.set_max(self.x, store.max(self.x) // 2 * 2)
+        return Status.ACTIVE
+
+    def check(self, values):
+        return values[self.x] % 2 == 0
+
+
+class TestOwnEvents:
+    @pytest.mark.parametrize("idempotent, runs", [(True, 1), (False, 2)])
+    def test_own_events_requeue_only_a_non_idempotent_propagator(self, idempotent, runs):
+        m = Model()
+        x = m.new_var(range(10))
+        spy = EvenCap(x, idempotent)
+        m.post(spy)
+        s = Solver(m)
+        assert s.propagate_root()
+        assert m.store.values(x) == (0, 1, 2, 3, 4, 5, 6, 7, 8)
+        assert spy.calls == runs  # the cap's own MAX_CHANGED wakes it only when not idempotent
+        m.store.push()
+        m.store.set_max(x, 7)  # a decision: an event the spy did not raise
+        s._wake_for(m.store.take_raw_events())
+        s.fixpoint()
+        assert max(m.store.values(x)) == 6
+        assert spy.calls == 2 * runs
+
+    def test_idempotent_propagator_woken_by_another_propagator(self):
+        m = Model()
+        x = m.new_var(range(10))
+        y = m.new_var(range(10))
+        spy = EvenCap(x, True)
+        m.post(spy)
+        m.post(LessThan(x, y))  # caps x at 8 once the spy has run
+        s = Solver(m)
+        assert s.propagate_root()
+        m.store.push()
+        m.store.set_max(y, 8)  # LessThan cuts x to 7, which wakes the spy
+        s._wake_for(m.store.take_raw_events())
+        s.fixpoint()
+        assert max(m.store.values(x)) == 6
+        assert spy.calls == 2
+
+    def test_failed_fixpoint_leaves_no_queued_flag(self):
+        m = Model()
+        a = m.new_var(range(5))
+        b = m.new_var(range(5))
+        c = m.new_var(range(5))
+        first = LessThan(a, b)  # idempotent; the first to run in the failing branch
+        m.post(first)
+        m.post(LinearSum([1, 1], [b, c], "<=", 6))
+        m.post(AllDifferent([a, b, c]))
+        m.post(LinearSum([1, -1], [a, c], "==", 0))
+        s = Solver(m)
+        assert first.idempotent
+        assert s.propagate_root()
+        m.store.push()
+        m.store.assign(a, 3)
+        m.store.set_max(b, 2)  # two decisions at once: a < b cannot hold
+        s._wake_for(m.store.take_raw_events())
+        assert len(s._queue) > 1  # LessThan fails first, the others wait
+        with pytest.raises(Inconsistent):
+            s.fixpoint()
+        assert not s._queue
+        assert not any(s._queued)
+        m.store.pop()
+        # the propagator that raised is woken again in the next branch
+        m.store.push()
+        m.store.assign(b, 2)
+        s._wake_for(m.store.take_raw_events())
+        s.fixpoint()
+        assert m.store.values(a) == (0, 1)
 
 
 class TestSolveFirst:
@@ -344,6 +433,8 @@ PINNED_TREES = [
     ("party_2", "lex", "algorithm", (3319, 2078, "solved", None)),
     ("rack_4", "mset", "algorithm-sorted", (190, 132, "solved", 750)),
     ("rack_6", "mset", "arith", (356, 275, "solved", 800)),
+    ({"problem": "sport", "teams": 7}, "mset", "algorithm", (131, 69, "solved", None)),
+    ("rack_3", "mset", "algorithm", (50, 35, "solved", 700)),
 ]
 
 

@@ -88,6 +88,26 @@ def test_events_coalesce_per_round():
     ]
 
 
+def test_drain_events_raw_in_order():
+    s = Store()
+    v = s.new_var(range(10))
+    w = s.new_var(range(10))
+    s.take_raw_events()
+    assert not s.drain_events()
+    s.set_min(v, 2)
+    s.assign(w, 5)
+    s.set_max(v, 7)
+    D, MIN, MAX, INST = (
+        EventKind.DOMAIN_CHANGED,
+        EventKind.MIN_CHANGED,
+        EventKind.MAX_CHANGED,
+        EventKind.INSTANTIATED,
+    )
+    assert list(s.drain_events()) == [(v, D | MIN), (w, D | MIN | MAX | INST), (v, D | MAX)]
+    assert not s.drain_events()
+    assert s.take_raw_events() == []
+
+
 def test_restore_round_trip_exact():
     s = Store()
     vs = [s.new_var(range(8)) for _ in range(5)]
