@@ -6,7 +6,7 @@ from importlib import resources
 import pytest
 
 from msetcp import oracle
-from msetcp.bench import RunConfig, load_instance, run
+from msetcp.bench import RunConfig, build, load_instance, run
 from msetcp.constraints import AllDifferent, LessThan, LinearSum, sum_eq
 from msetcp.engine import (
     Branching,
@@ -435,6 +435,9 @@ PINNED_TREES = [
     ("rack_6", "mset", "arith", (356, 275, "solved", 800)),
     ({"problem": "sport", "teams": 7}, "mset", "algorithm", (131, 69, "solved", None)),
     ("rack_3", "mset", "algorithm", (50, 35, "solved", 700)),
+    ("party_3", "none", "algorithm", (130, 3, "solved", None)),
+    ("party_6", "lex", "algorithm", (252, 81, "solved", None)),
+    ("party_4", "lex", "algorithm", (6449, 4050, "solved", None)),
 ]
 
 
@@ -446,5 +449,46 @@ def test_search_tree_fingerprints_pinned():
             source = str(resources.files("msetcp").joinpath(f"data/{source}.json"))
         rec = run(RunConfig(symmetry=symmetry, encoding=encoding), load_instance(source))
         got.append((rec.choice_points, rec.fails, rec.status, rec.objective))
+        expected.append(fingerprint)
+    assert got == expected
+
+
+class BudgetReached(Exception):
+    """A budgeted search used up its choice points."""
+
+
+def budgeted(branching, solver, budget):
+    """``branching`` with values handed out only while ``solver`` is below
+    ``budget`` choice points, so the search stops at exactly ``budget``."""
+    inner = branching.value_order
+
+    def value_order(var, values):
+        for val in inner(var, values):
+            if solver.stats.choice_points >= budget:
+                raise BudgetReached
+            yield val
+
+    return Branching(branching.order, value_order)
+
+
+# (choice_points, fails) after a search stopped at 3,000 choice points: runs
+# too long to solve in a test, whose tree prefix still pins the model.
+BUDGETED_TREES = [
+    ("party_1", "none", "algorithm", (3000, 1957)),
+    ("party_1", "mset", "algorithm", (3000, 2208)),
+    ("party_2", "mset", "gcc", (3000, 2203)),
+    ("party_3", "mset-rows", "sort", (3000, 2049)),
+]
+
+
+def test_budgeted_search_trees_pinned():
+    got, expected = [], []
+    for name, symmetry, encoding, fingerprint in BUDGETED_TREES:
+        source = str(resources.files("msetcp").joinpath(f"data/{name}.json"))
+        built = build(load_instance(source), RunConfig(symmetry=symmetry, encoding=encoding))
+        solver = Solver(built.model)
+        with pytest.raises(BudgetReached):
+            solver.solve(budgeted(built.branching, solver, 3000))
+        got.append((solver.stats.choice_points, solver.stats.fails))
         expected.append(fingerprint)
     assert got == expected
