@@ -22,10 +22,11 @@ from .constraints import (
     ArithmeticMultiset,
     Cardinality,
     Conditional,
+    HostCapacity,
     LessThan,
     LexOrdering,
     LinearSum,
-    ReifiedEquals,
+    MeetOnce,
     SortednessLink,
     StatelessMultisetOrdering,
     TableConstraint,
@@ -55,6 +56,8 @@ class RunConfig:
             raise SchemaError(f"unknown encoding {self.encoding!r}")
         if self.labelling not in ("row-wise", "column-wise"):
             raise SchemaError(f"unknown labelling {self.labelling!r}")
+        if self.entailment and self.encoding != "algorithm":
+            raise SchemaError("entailment is tracked by the algorithm encoding only")
 
 
 @dataclass
@@ -157,8 +160,8 @@ def _normalize_party(doc: dict) -> None:
     for h in hosts:
         if not isinstance(h, dict) or "capacity" not in h or "crew" not in h:
             raise SchemaError("host entries need capacity and crew")
-        if h["capacity"] < 0 or h["crew"] < 0:
-            raise SchemaError("host capacity/crew must be non-negative")
+        if h["crew"] < 0 or h["capacity"] < h["crew"]:
+            raise SchemaError("host crew must be non-negative and within its capacity")
     for g in guests:
         if not isinstance(g, dict) or "crew" not in g or g["crew"] <= 0:
             raise SchemaError("guest entries need a positive crew")
@@ -246,7 +249,9 @@ def post_conditional_mset(
     ys: Sequence[int],
     cfg: RunConfig,
 ) -> None:
-    """Conditional multiset ordering; only stateless bodies are possible."""
+    """Conditional multiset ordering: the body is one propagator, attached at
+    the root, so the dedicated filters and the arithmetic encoding qualify
+    and the decompositions, which need several, are rejected."""
     if cfg.encoding in ("algorithm", "algorithm-sorted"):
         body = StatelessMultisetOrdering(xs, ys)
     elif cfg.encoding == "arith":
@@ -298,10 +303,10 @@ class BuiltModel:
 def build_progressive_party(instance: dict, cfg: RunConfig) -> BuiltModel:
     """Host assignment matrix with meet-once, revisit, and capacity constraints.
 
-    ``H`` is channelled to a 0/1 matrix ``C`` that the capacity sums read.
-    The channel fixes ``C[i][j][k]`` to 0 once host ``k`` leaves the domain
-    of ``H[i][j]`` and to 1 once ``H[i][j]`` is fixed to ``k``, so each
-    guest's row of ``C`` sums to one without a sum constraint of its own.
+    ``H[i][j]`` is the host of guest ``j`` in period ``i``, and every relation
+    is posted once over ``H`` alone: one :class:`HostCapacity` per period, one
+    :class:`AllDifferent` per guest (no revisits) and one :class:`MeetOnce`
+    per guest pair.
 
     Guests are ordered by decreasing crew size; a guest's "row" collects its
     host over all periods, a period's "column" collects all guests of that
@@ -320,31 +325,16 @@ def build_progressive_party(instance: dict, cfg: RunConfig) -> BuiltModel:
 
     m = Model()
     H = [[m.new_var(range(h)) for _ in range(g)] for _ in range(p)]
-    host_const = [m.new_var({k}) for k in range(h)]
-    C = [[[m.new_var({0, 1}) for _ in range(h)] for _ in range(g)] for _ in range(p)]
-
-    # (5) channel H to the 0/1 matrix; it also keeps (4), one host per guest
-    # and period
-    for i in range(p):
-        for j in range(g):
-            for k in range(h):
-                m.post(ReifiedEquals(H[i][j], host_const[k], C[i][j][k]))
     # (3) spare capacity per period and host
     for i in range(p):
-        for k in range(h):
-            m.post(LinearSum(crew, [C[i][j][k] for j in range(g)], "<=", spare[k]))
+        m.post(HostCapacity(H[i], crew, spare))
     # (2) no revisits
     for j in range(g):
         m.post(AllDifferent([H[i][j] for i in range(p)]))
     # (1) two guests meet at most once
     for j1 in range(g):
         for j2 in range(j1 + 1, g):
-            meets = []
-            for i in range(p):
-                b = m.new_var({0, 1})
-                m.post(ReifiedEquals(H[i][j1], H[i][j2], b))
-                meets.append(b)
-            m.post(LinearSum([1] * p, meets, "<=", 1))
+            m.post(MeetOnce([H[i][j1] for i in range(p)], [H[i][j2] for i in range(p)]))
 
     row_kind, col_kind = _PARTY_SYMMETRY_MAP[cfg.symmetry]
     # with a single period, equal-crew guests may legitimately take identical

@@ -5,17 +5,21 @@ the lexicographic ordering filter is GAC; the cardinality filter and the
 sortedness channel are bounds-and-counting filters (not full GAC) built on
 one per-value count and one force/forbid rule, one pass per call, left to the
 engine's queue to re-run; all-different only reacts to instantiations.  The
-table, all-different, lexicographic, ``x < y`` and ``<=`` sum filters reach
-their own fixpoint in one call and declare ``idempotent``, so the engine does
-not wake them on their own events; all but all-different only while their
-variables are distinct, as a variable listed twice lets one cut enable
-another.  The linear sums are bounds consistent from one read of the domains
-per call: a term is cut only when its span exceeds the slack, and a sum is
-entailed as soon as its worst case holds, fixed variables or not.  The table
-constraint is GAC by support bitsets (one bit per allowed tuple, one AND per
-variable) and is entailed when exactly one allowed tuple is left.  The
-arithmetic encoding of the multiset ordering uses exact big-integer weights
-and is bounds consistent, which for that constraint coincides with GAC.
+table, all-different, lexicographic, ``x < y``, ``<=`` sum and meet-once
+filters reach their own fixpoint in one call and declare ``idempotent``, so
+the engine does not wake them on their own events; all but all-different
+only while their variables are distinct, as a variable listed twice lets one
+cut enable another.  The linear sums are bounds consistent from one read of
+the domains per call: a term is cut only when its span exceeds the slack, and
+a sum is entailed as soon as its worst case holds, fixed variables or not.
+The table constraint is GAC by support bitsets (one bit per allowed tuple,
+one AND per variable) and is entailed when exactly one allowed tuple is left.
+The arithmetic encoding of the multiset ordering uses exact big-integer
+weights and is bounds consistent, which for that constraint coincides with
+GAC.  The progressive party's capacity and meet-once filters read only the
+fixed hosts and wake only on instantiations; on the host matrix they remove
+exactly what a 0/1 channel (reified equalities) with bounds-consistent sums
+would remove.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .store import EventKind, Inconsistent, Store
 
 def _distinct(variables: Sequence[int]) -> bool:
     """No variable listed twice: the condition under which the table, lex,
-    ``x < y`` and ``<=`` sum filters are idempotent."""
+    ``x < y``, ``<=`` sum and meet-once filters are idempotent."""
     return len(set(variables)) == len(variables)
 
 
@@ -554,6 +558,99 @@ class LessThan(Propagator):
 
     def check(self, values: Sequence[int]) -> bool:
         return values[self.x] < values[self.y]
+
+
+class HostCapacity(Propagator):
+    """Progressive party capacity in one period: guest ``j`` sits at host
+    ``hs[j]`` with ``crew[j]`` people, and the guests at host ``k`` number at
+    most ``spare[k]`` people.
+
+    A host's load is the crew of the guests fixed to it; a load above the
+    spare fails, and host ``k`` is removed from an unfixed guest whose crew
+    exceeds ``spare[k]`` minus that load.  Loads change only when a guest is
+    fixed, so the filter wakes on instantiations alone; it is not idempotent,
+    since a removal may fix a guest and raise a load.
+    """
+
+    def __init__(self, hs: Sequence[int], crew: Sequence[int], spare: Sequence[int]) -> None:
+        if len(hs) != len(crew):
+            raise ValueError("one crew size per guest required")
+        self.hs = list(hs)
+        self.crew = list(crew)
+        self.spare = list(spare)
+
+    def subscriptions(self):
+        for v in self.hs:
+            yield v, EventKind.INSTANTIATED
+
+    def attach(self, store: Store) -> None:
+        top = len(self.spare) - 1
+        if any(store.min(x) < 0 or store.max(x) > top for x in self.hs):
+            raise ValueError(f"host variables must range over 0..{top}")
+
+    def propagate(self, store: Store) -> Status:
+        doms = list(map(store.values, self.hs))
+        room = list(self.spare)
+        for dom, c in zip(doms, self.crew):
+            if len(dom) == 1:
+                room[dom[0]] -= c
+        if min(room) < 0:
+            raise Inconsistent("host capacity exceeded")
+        for x, dom, c in zip(self.hs, doms, self.crew):
+            if len(dom) > 1 and any(room[k] < c for k in dom):
+                store.retain(x, {k for k in dom if room[k] >= c})
+        return Status.ACTIVE
+
+    def check(self, values: Sequence[int]) -> bool:
+        room = list(self.spare)
+        for x, c in zip(self.hs, self.crew):
+            room[values[x]] -= c
+        return min(room) >= 0
+
+
+class MeetOnce(Propagator):
+    """Two guests, whose hosts over the periods are ``row_a`` and ``row_b``,
+    share a host in at most one period.
+
+    A second period where both rows are fixed equal fails; once the guests
+    have met, a host fixed for one of them in any other period is removed
+    from the other.  Only instantiations decide a meeting or a removal, so
+    the filter wakes on them alone.  A removal is made only opposite a fixed
+    host, so it can neither make a second meeting nor call for another
+    removal: the filter is idempotent while its variables are distinct.
+    """
+
+    def __init__(self, row_a: Sequence[int], row_b: Sequence[int]) -> None:
+        if len(row_a) != len(row_b):
+            raise ValueError("both rows need one host per period")
+        self.pairs = list(zip(row_a, row_b))
+        self.idempotent = _distinct(list(row_a) + list(row_b))
+
+    def subscriptions(self):
+        for a, b in self.pairs:
+            yield a, EventKind.INSTANTIATED
+            yield b, EventKind.INSTANTIATED
+
+    def propagate(self, store: Store) -> Status:
+        domain = store.values
+        doms = [(domain(a), domain(b)) for a, b in self.pairs]
+        met = None
+        for i, (da, db) in enumerate(doms):
+            if len(da) == 1 and da == db:
+                if met is not None:
+                    raise Inconsistent("meet-once: guests meet twice")
+                met = i
+        if met is not None:
+            for i, ((a, b), (da, db)) in enumerate(zip(self.pairs, doms)):
+                if i != met:
+                    if len(da) == 1:
+                        store.remove(b, da[0])
+                    if len(db) == 1:
+                        store.remove(a, db[0])
+        return Status.ACTIVE
+
+    def check(self, values: Sequence[int]) -> bool:
+        return sum(values[a] == values[b] for a, b in self.pairs) <= 1
 
 
 class ReifiedEquals(Propagator):

@@ -263,23 +263,91 @@ class TestPartyModel:
         sym = run(RunConfig(symmetry="mset-rows"), self._toy())
         assert plain.status == sym.status == "solved"
 
-    def test_toy_oracle_enumeration_agrees(self):
-        # 2 periods x 2 guests x 2 hosts: enumerate every H matrix directly
-        def ok(h00, h01, h10, h11, mset_rows):
-            # columns: guest j visits hosts (h0j, h1j)
-            if h00 == h10 or h01 == h11:  # revisit
-                return False
-            meets = (h00 == h01) + (h10 == h11)
-            if meets > 1:
-                return False
-            # capacity: slack 2 per host, crews 1 → at most 2 guests anywhere: ok
-            if mset_rows and mset_cmp((h00, h10), (h01, h11)) is Ordering.GREATER:
-                return False
-            return True
+    @staticmethod
+    def _enumerate(inst, mset_rows):
+        """Every host matrix ``H[i][j]`` (guests in the model's order) with no
+        revisit, no second meeting and no host over its spare capacity; with
+        ``mset_rows``, also adjacent equal-crew rows in multiset order."""
+        p = inst["periods"]
+        spare = [h["capacity"] - h["crew"] for h in inst["hosts"]]
+        crew = [g["crew"] for g in sorted(inst["guests"], key=lambda g: -g["crew"])]
+        g = len(crew)
+        found = set()
+        for flat in itertools.product(range(len(spare)), repeat=p * g):
+            H = tuple(flat[i * g : (i + 1) * g] for i in range(p))
+            rows = [tuple(H[i][j] for i in range(p)) for j in range(g)]
+            if any(len(set(row)) < p for row in rows):
+                continue
+            if any(
+                sum(a == b for a, b in zip(rows[j1], rows[j2])) > 1
+                for j1, j2 in itertools.combinations(range(g), 2)
+            ):
+                continue
+            if any(
+                sum(c for c, k in zip(crew, col) if k == host) > room
+                for col in H
+                for host, room in enumerate(spare)
+            ):
+                continue
+            if mset_rows and any(
+                crew[j] == crew[j + 1] and mset_cmp(rows[j], rows[j + 1]) is Ordering.GREATER
+                for j in range(g - 1)
+            ):
+                continue
+            found.add(H)
+        return found
 
-        plain = [c for c in itertools.product(range(2), repeat=4) if ok(*c, False)]
-        sym = [c for c in itertools.product(range(2), repeat=4) if ok(*c, True)]
-        assert plain and sym  # satisfiable in both configurations
+    def test_whole_search_matches_enumeration(self):
+        """party_toy and small generated instances, sat and unsat: the run's
+        status agrees with brute force over every host matrix, and the
+        solution found is one of the enumerated ones."""
+        import random
+
+        from msetcp.engine import Solver
+
+        rng = random.Random(17)
+        docs = [self._toy()]
+        while len(docs) < 9:
+            p, h, g = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+            if h ** (p * g) > 6000:
+                continue
+            hosts = []
+            for _ in range(h):
+                crew = rng.randint(0, 2)
+                hosts.append({"capacity": crew + rng.randint(0, 3), "crew": crew})
+            guests = [{"crew": rng.randint(1, 2)} for _ in range(g)]
+            doc = {"problem": "progressive_party", "periods": p, "hosts": hosts, "guests": guests}
+            docs.append(load_instance(doc))
+        statuses = set()
+        for inst in docs:
+            for symmetry in ("none", "mset-rows"):
+                expected = self._enumerate(inst, symmetry == "mset-rows")
+                cfg = RunConfig(symmetry=symmetry)
+                rec = run(cfg, inst)
+                assert rec.status == ("solved" if expected else "unsat"), (inst, symmetry)
+                statuses.add(rec.status)
+                built = build(inst, cfg)
+                sol, _ = Solver(built.model).solve(built.branching)
+                if expected:
+                    H = tuple(tuple(sol[v] for v in row) for row in built.meta["H"])
+                    assert H in expected, (inst, symmetry)
+                else:
+                    assert sol is None
+        assert statuses == {"solved", "unsat"}
+
+    def test_host_below_own_crew_rejected(self):
+        """A host whose crew exceeds its capacity has negative spare; it used
+        to fail every model at the root."""
+        doc = {
+            "problem": "progressive_party",
+            "periods": 1,
+            "hosts": [{"capacity": 6, "crew": 2}, {"capacity": 1, "crew": 3}],
+            "guests": [{"crew": 1}, {"crew": 1}],
+        }
+        with pytest.raises(SchemaError):
+            load_instance(doc)
+        with pytest.raises(SchemaError):
+            load_instance({"problem": "progressive_party", "periods": 2, "csplib_hosts": [1, 2, 40]})
 
     def test_revisit_forced_unsat(self):
         doc = {
@@ -382,6 +450,23 @@ class TestCli:
         assert code == 1
         rec = RunRecord.from_json(capsys.readouterr().out.strip().splitlines()[-1])
         assert rec.status == "timeout"
+
+    def test_entailment_needs_the_algorithm_encoding(self, capsys):
+        """Only the occurrence filter tracks entailment, so the flag under
+        any other encoding would do nothing and is refused."""
+        code = main(
+            [
+                "--problem", "sport",
+                "--instance", data_path("sport_n5.json"),
+                "--symmetry", "mset",
+                "--encoding", "gcc",
+                "--entailment",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "entailment" in captured.err
 
     def test_party_alias_matches_instance(self, capsys):
         code = main(

@@ -9,9 +9,11 @@ from msetcp.constraints import (
     ArithmeticMultiset,
     Cardinality,
     Conditional,
+    HostCapacity,
     LessThan,
     LexOrdering,
     LinearSum,
+    MeetOnce,
     ReifiedEquals,
     SortednessLink,
     StatelessMultisetOrdering,
@@ -396,6 +398,22 @@ def _random_cardinality(rng, store):
     return Cardinality(xs, values, occ)
 
 
+def _random_host_capacity(rng, store):
+    g, h = rng.randint(1, 4), rng.randint(1, 3)
+    hs = [store.new_var(rng.sample(range(h), rng.randint(1, h))) for _ in range(g)]
+    crew = [rng.randint(1, 3) for _ in range(g)]
+    return HostCapacity(hs, crew, [rng.randint(0, 4) for _ in range(h)])
+
+
+def _random_meet_once(rng, store):
+    p, h = rng.randint(2, 3), rng.randint(1, 3)
+    row_a, row_b = (
+        [store.new_var(rng.sample(range(h), min(h, rng.choice((1, 1, 2))))) for _ in range(p)]
+        for _ in range(2)
+    )
+    return MeetOnce(row_a, row_b)
+
+
 # case -> (random instance builder, whether the propagator declares idempotent)
 IDEMPOTENCE_CASES = {
     "table": (_random_table, True),
@@ -406,6 +424,8 @@ IDEMPOTENCE_CASES = {
     "sum-le": (_random_sum("<="), True),
     "sum-eq": (_random_sum("=="), False),
     "cardinality": (_random_cardinality, False),
+    "host-capacity": (_random_host_capacity, False),
+    "meet-once": (_random_meet_once, True),
 }
 
 
@@ -456,7 +476,9 @@ class AliasingStore(Store):
         return super().new_var(values)
 
 
-@pytest.mark.parametrize("case", ["table", "lex", "lex-strict", "less-than", "sum-le"])
+@pytest.mark.parametrize(
+    "case", ["table", "lex", "lex-strict", "less-than", "sum-le", "meet-once"]
+)
 def test_aliased_variables_reach_own_fixpoint(case):
     """With a variable listed twice one cut can enable another, so these
     filters declare ``idempotent`` only over distinct variables, and the
@@ -984,6 +1006,90 @@ class TestReifiedAndConditional:
                 sol, stats = solve_first(m, Branching([ra, rb] + xs + ys))
                 trees.append((sol, stats.choice_points, stats.fails))
             assert trees[0] == trees[1], (xd, yd)
+
+
+class TestPartyFilters:
+    """``HostCapacity`` and ``MeetOnce`` against the encoding they replace in
+    the party model: each host variable channelled by reified equalities to
+    one 0/1 variable per host, capacities as ``<=`` sums over those, and per
+    guest pair one reified-equality boolean per period with a ``<=`` 1 sum."""
+
+    @staticmethod
+    def _hosts(model, doms):
+        return [[model.new_var(d) for d in row] for row in doms]
+
+    def _filters(self, doms, crew, spare):
+        m = Model()
+        H = self._hosts(m, doms)
+        for row in H:
+            m.post(HostCapacity(row, crew, spare))
+        for j1 in range(len(crew)):
+            for j2 in range(j1 + 1, len(crew)):
+                m.post(MeetOnce([row[j1] for row in H], [row[j2] for row in H]))
+        return m, [x for row in H for x in row]
+
+    def _channel(self, doms, crew, spare):
+        m = Model()
+        H = self._hosts(m, doms)
+        g, h = len(crew), len(spare)
+        host = [m.new_var({k}) for k in range(h)]
+        for row in H:
+            C = [[m.new_var({0, 1}) for _ in range(h)] for _ in range(g)]
+            for j in range(g):
+                for k in range(h):
+                    m.post(ReifiedEquals(row[j], host[k], C[j][k]))
+            for k in range(h):
+                m.post(LinearSum(crew, [C[j][k] for j in range(g)], "<=", spare[k]))
+        for j1 in range(g):
+            for j2 in range(j1 + 1, g):
+                meets = [m.new_var({0, 1}) for _ in H]
+                for row, b in zip(H, meets):
+                    m.post(ReifiedEquals(row[j1], row[j2], b))
+                m.post(LinearSum([1] * len(H), meets, "<=", 1))
+        return m, [x for row in H for x in row]
+
+    def test_fixpoint_matches_channel_encoding(self):
+        """Host domains and failure agree at the fixpoint on random tiny
+        parties: up to 3 periods, 4 guests and 3 hosts, with many hosts
+        already fixed so that loads and meetings occur."""
+        import random
+
+        rng = random.Random(31)
+        outcomes = {"failed": 0, "pruned": 0, "unchanged": 0}
+        for _ in range(700):
+            p, g, h = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 3)
+            crew = [rng.randint(1, 3) for _ in range(g)]
+            spare = [rng.randint(0, 5) for _ in range(h)]
+            doms = [
+                [set(rng.sample(range(h), min(h, rng.choice((1, 1, 2, 3))))) for _ in range(g)]
+                for _ in range(p)
+            ]
+            new, xs = self._filters(doms, crew, spare)
+            old, ys = self._channel(doms, crew, spare)
+            got = project(fixpoint(new), xs)
+            assert got == project(fixpoint(old), ys), (doms, crew, spare)
+            flat = [d for row in doms for d in row]
+            key = "failed" if got is None else "pruned" if got != flat else "unchanged"
+            outcomes[key] += 1
+        assert min(outcomes.values()) > 50, outcomes
+
+    @pytest.mark.parametrize("dom", [{0, 3}, {-1, 0}])
+    def test_host_outside_spare_rejected(self, dom):
+        # three hosts: a host variable must range over 0..2
+        m = Model()
+        hs = [m.new_var(dom), m.new_var({0, 1})]
+        m.post(HostCapacity(hs, [1, 1], [2, 2, 2]))
+        with pytest.raises(ValueError, match="0..2"):
+            propagate_to_fixpoint(m)
+
+    def test_checks_are_ground_semantics(self):
+        cap = HostCapacity([0, 1, 2], [2, 1, 1], [3, 1])
+        assert cap.check([0, 0, 1])
+        assert not cap.check([0, 0, 0])
+        assert not cap.check([1, 1, 0])
+        meet = MeetOnce([0, 1, 2], [3, 4, 5])
+        assert meet.check([0, 1, 2, 0, 2, 1])
+        assert not meet.check([0, 1, 2, 0, 1, 0])
 
 
 class TestLessThan:
