@@ -336,8 +336,9 @@ class TestPartyModel:
         assert statuses == {"solved", "unsat"}
 
     def test_host_below_own_crew_rejected(self):
-        """A host whose crew exceeds its capacity has negative spare; it used
-        to fail every model at the root."""
+        """A host whose crew exceeds its capacity would have a negative spare,
+        which fails every model at the root although host 0 seats both
+        guests, so the document is rejected."""
         doc = {
             "problem": "progressive_party",
             "periods": 1,
