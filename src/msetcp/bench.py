@@ -90,13 +90,26 @@ class RunRecord:
 # -- instance loading ------------------------------------------------------------
 
 
+def _is_int(val) -> bool:
+    """Whether ``val`` is an integer; JSON's ``true``/``false`` load as bools,
+    which Python counts as ints, so they are excluded."""
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
 def _require(doc: dict, key: str, kind) -> object:
     if key not in doc:
         raise SchemaError(f"missing field {key!r}")
     val = doc[key]
-    if not isinstance(val, kind):
+    if not isinstance(val, kind) or (kind is int and not _is_int(val)):
         raise SchemaError(f"field {key!r} has wrong type")
     return val
+
+
+def _require_ints(entry: dict, keys: Sequence[str], what: str) -> None:
+    """Reject an entry whose numeric ``keys`` are not all integers."""
+    wrong = [k for k in keys if not _is_int(entry[k])]
+    if wrong:
+        raise SchemaError(f"{what} fields {wrong} must be integers")
 
 
 def load_boats() -> list[dict]:
@@ -143,10 +156,15 @@ def _normalize_party(doc: dict) -> None:
         raise SchemaError("periods must be positive")
     if "csplib_hosts" in doc:
         ids = _require(doc, "csplib_hosts", list)
+        if not all(map(_is_int, ids)):
+            raise SchemaError("csplib_hosts must list integer boat ids")
         boats = {b["id"]: b for b in load_boats()}
         unknown = [i for i in ids if i not in boats]
         if unknown:
             raise SchemaError(f"unknown boat ids {unknown}")
+        repeated = sorted({i for i in ids if ids.count(i) > 1})
+        if repeated:
+            raise SchemaError(f"repeated boat ids {repeated} in csplib_hosts")
         doc["hosts"] = [
             {"capacity": boats[i]["capacity"], "crew": boats[i]["crew"]} for i in ids
         ]
@@ -160,10 +178,14 @@ def _normalize_party(doc: dict) -> None:
     for h in hosts:
         if not isinstance(h, dict) or "capacity" not in h or "crew" not in h:
             raise SchemaError("host entries need capacity and crew")
+        _require_ints(h, ("capacity", "crew"), "host")
         if h["crew"] < 0 or h["capacity"] < h["crew"]:
             raise SchemaError("host crew must be non-negative and within its capacity")
     for g in guests:
-        if not isinstance(g, dict) or "crew" not in g or g["crew"] <= 0:
+        if not isinstance(g, dict) or "crew" not in g:
+            raise SchemaError("guest entries need a crew")
+        _require_ints(g, ("crew",), "guest")
+        if g["crew"] <= 0:
             raise SchemaError("guest entries need a positive crew")
     spare = sum(h["capacity"] - h["crew"] for h in hosts)
     demand = sum(g["crew"] for g in guests)
@@ -182,11 +204,13 @@ def _normalize_rack(doc: dict) -> None:
     for m in models:
         if not isinstance(m, dict) or not {"power", "connectors", "price"} <= set(m):
             raise SchemaError("rack model entries need power, connectors, price")
+        _require_ints(m, ("power", "connectors", "price"), "rack model")
         if min(m["power"], m["connectors"], m["price"]) < 0:
             raise SchemaError("rack model fields must be non-negative")
     for c in cards:
         if not isinstance(c, dict) or not {"power", "demand"} <= set(c):
             raise SchemaError("card type entries need power and demand")
+        _require_ints(c, ("power", "demand"), "card type")
         if c["power"] < 0 or c["demand"] < 0:
             raise SchemaError("card power/demand must be non-negative")
     total_conn = racks * max(m["connectors"] for m in models)

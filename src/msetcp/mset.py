@@ -9,7 +9,9 @@ two first differ.  :func:`_prune` then decides in constant time per variable
 the tight upper bound of every ``X_i`` and the tight lower bound of every
 ``Y_i``.  Only those bounds are ever touched, so a single pass reaches the
 generalised arc consistent fixpoint and no pruning can wipe out a domain
-once disentailment has been ruled out.
+once disentailment has been ruled out.  Each cut depends only on that
+variable's own domain and the flags, and no variable whose max is below
+``first_lt`` is cut, so the pass visits only the others, in any order.
 
 The filters differ only in where the counts come from.
 :class:`MultisetOrdering` keeps occurrence vectors over the values renamed
@@ -20,8 +22,8 @@ sorted vectors and merges them into run-length counts on every call
 of the value range.
 :class:`StatelessMultisetOrdering` sorts its bounds and runs the same merge
 on every call and keeps nothing.  The two dedicated filters set up their
-vectors in ``attach`` and keep them in step through bound watchers, across
-backtracking too.
+vectors and a :class:`MaxIndex` per side in ``attach`` and keep them in step
+through bound watchers, across backtracking too.
 """
 
 from __future__ import annotations
@@ -148,6 +150,32 @@ def _summary(
     return Flags(lt, gt, flat, tail_wrong), x_at_lt, y_at_lt, x_at_gt, y_at_gt
 
 
+class MaxIndex:
+    """The variables of one side of a filter, ordered by their current max.
+
+    Sorted keys ``max * stride + var``, ``stride`` exceeding every variable;
+    ``%`` rounds toward -inf, so negative maxima split back too.  The filter's
+    bound watcher reports each max change, shrink or restore, to :meth:`moved`.
+    """
+
+    __slots__ = ("keys", "stride")
+
+    def __init__(self, store: Store, variables: Sequence[int]) -> None:
+        self.stride = stride = max(variables, default=0) + 1
+        maxes = store.max
+        self.keys = sorted([maxes(v) * stride + v for v in variables])
+
+    def moved(self, var: int, old_max: int, new_max: int) -> None:
+        keys, stride = self.keys, self.stride
+        del keys[bisect_left(keys, old_max * stride + var)]
+        insort_left(keys, new_max * stride + var)
+
+    def reaching(self, bound: float) -> list[int]:
+        """The variables whose max is at least ``bound``: all at NO_INDEX."""
+        keys, stride = self.keys, self.stride
+        return [k % stride for k in keys[bisect_left(keys, bound * stride) :]]
+
+
 def _prune(
     store: Store,
     xs: Sequence[int],
@@ -158,12 +186,15 @@ def _prune(
     x_at_gt: int,
     y_at_gt: int,
 ) -> None:
-    """Tighten max(X_i) and min(Y_i) for every i to their supported values.
+    """Tighten max(X_i) and min(Y_i) to their supported values.
 
-    Takes what :func:`_summary` returns.  Domain bounds are compared with the
-    flag values directly; "below ``first_lt``" is ``first_lt - 1`` and
-    "above ``first_gt``" is ``first_gt + 1``, which cut exactly where the
-    neighbouring counted values would, as the domains are integers.
+    Takes what :func:`_summary` returns and, per side, the candidates: any
+    order of at least every variable whose max reaches ``first_lt`` (all of
+    them at NO_INDEX), as no other variable is cut.  Domain bounds are
+    compared with the flag values directly; "below ``first_lt``" is
+    ``first_lt - 1`` and "above ``first_gt``" is ``first_gt + 1``, which cut
+    exactly where the neighbouring counted values would, as the domains are
+    integers.
     """
     lt, gt = fl.first_lt, fl.first_gt
     critical = fl.flat_between and x_at_lt + 1 == y_at_lt
@@ -248,6 +279,8 @@ class MultisetOrdering(MultisetPair):
         self.xmax_counts: Optional[list[int]] = None
         self.ymin_counts: Optional[list[int]] = None
         self.last_flags: Optional[Flags] = None
+        self.xmax_index: Optional[MaxIndex] = None
+        self.ymax_index: Optional[MaxIndex] = None
         self._rank: dict[int, int] = {}
         self._unrank: list[int] = []
 
@@ -259,10 +292,14 @@ class MultisetOrdering(MultisetPair):
         self.xmin_counts, self.ymax_counts = counts[0], counts[1]
         if self.track_entailment:
             self.xmax_counts, self.ymin_counts = counts[2], counts[3]
+        self.xmax_index, self.ymax_index = MaxIndex(store, self.xs), MaxIndex(store, self.ys)
+        # one bound method per side, not one per variable
+        cb = self._x_bounds_changed
         for x in self.xs:
-            store.watch_bounds(x, self._x_bounds_changed)
+            store.watch_bounds(x, cb)
+        cb = self._y_bounds_changed
         for y in self.ys:
-            store.watch_bounds(y, self._y_bounds_changed)
+            store.watch_bounds(y, cb)
 
     # -- incremental maintenance -----------------------------------------------
 
@@ -272,14 +309,17 @@ class MultisetOrdering(MultisetPair):
             c = self.xmin_counts
             c[rank[new_min]] += 1
             c[rank[old_min]] -= 1
-        if self.xmax_counts is not None and new_max != old_max:
+        if new_max != old_max:
+            self.xmax_index.moved(var, old_max, new_max)
             c = self.xmax_counts
-            c[rank[new_max]] += 1
-            c[rank[old_max]] -= 1
+            if c is not None:
+                c[rank[new_max]] += 1
+                c[rank[old_max]] -= 1
 
     def _y_bounds_changed(self, var, old_min, old_max, new_min, new_max) -> None:
         rank = self._rank
         if new_max != old_max:
+            self.ymax_index.moved(var, old_max, new_max)
             c = self.ymax_counts
             c[rank[new_max]] += 1
             c[rank[old_max]] -= 1
@@ -328,7 +368,8 @@ class MultisetOrdering(MultisetPair):
             return Status.ENTAILED
         runs = zip(reversed(self._unrank), reversed(self.xmin_counts), reversed(self.ymax_counts))
         fl, *counts = _summary(runs, self.strict)
-        _prune(store, self.xs, self.ys, fl, *counts)
+        lt = fl.first_lt
+        _prune(store, self.xmax_index.reaching(lt), self.ymax_index.reaching(lt), fl, *counts)
         self.last_flags = fl
         return Status.ENTAILED if self.entailed else Status.ACTIVE
 
@@ -366,13 +407,19 @@ class SortedMultisetOrdering(MultisetPair):
         self.xmin_sorted: list[int] = []
         self.ymax_sorted: list[int] = []
         self.last_flags: Optional[Flags] = None
+        self.xmax_index: Optional[MaxIndex] = None
+        self.ymax_index: Optional[MaxIndex] = None
 
     def attach(self, store: Store) -> None:
         self.xmin_sorted, self.ymax_sorted = self.rebuilt_sorted(store)
+        self.xmax_index, self.ymax_index = MaxIndex(store, self.xs), MaxIndex(store, self.ys)
+        # one bound method per side, not one per variable
+        cb = self._x_bounds_changed
         for x in self.xs:
-            store.watch_bounds(x, self._x_bounds_changed)
+            store.watch_bounds(x, cb)
+        cb = self._y_bounds_changed
         for y in self.ys:
-            store.watch_bounds(y, self._y_bounds_changed)
+            store.watch_bounds(y, cb)
 
     # -- incremental maintenance -------------------------------------------------
 
@@ -386,10 +433,13 @@ class SortedMultisetOrdering(MultisetPair):
     def _x_bounds_changed(self, var, old_min, old_max, new_min, new_max) -> None:
         if new_min != old_min:
             self._replace(self.xmin_sorted, old_min, new_min)
+        if new_max != old_max:
+            self.xmax_index.moved(var, old_max, new_max)
 
     def _y_bounds_changed(self, var, old_min, old_max, new_min, new_max) -> None:
         if new_max != old_max:
             self._replace(self.ymax_sorted, old_max, new_max)
+            self.ymax_index.moved(var, old_max, new_max)
 
     def rebuilt_sorted(self, store: Store) -> tuple[list[int], list[int]]:
         return _sorted_bounds(store, self.xs, self.ys)
@@ -402,6 +452,7 @@ class SortedMultisetOrdering(MultisetPair):
 
     def propagate(self, store: Store) -> Status:
         fl, *counts = self.flags()
-        _prune(store, self.xs, self.ys, fl, *counts)
+        lt = fl.first_lt
+        _prune(store, self.xmax_index.reaching(lt), self.ymax_index.reaching(lt), fl, *counts)
         self.last_flags = fl
         return Status.ACTIVE

@@ -64,6 +64,60 @@ class TestInstanceLoading:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {
+                "problem": "progressive_party",
+                "periods": 2,
+                "hosts": [{"capacity": "6", "crew": 2}],
+                "guests": [{"crew": 1}],
+            },
+            {
+                "problem": "progressive_party",
+                "periods": 2,
+                "hosts": [{"capacity": 6.5, "crew": 2}],
+                "guests": [{"crew": 1}],
+            },
+            {
+                "problem": "progressive_party",
+                "periods": 2,
+                "hosts": [{"capacity": 6, "crew": 2}],
+                "guests": [{"crew": True}],
+            },
+            {
+                "problem": "progressive_party",
+                "periods": True,
+                "hosts": [{"capacity": 6, "crew": 2}],
+                "guests": [{"crew": 1}],
+            },
+            {"problem": "progressive_party", "periods": 2, "csplib_hosts": [2, 3.0]},
+            {
+                "problem": "rack",
+                "racks": 2,
+                "rack_models": [{"power": "1", "connectors": 1, "price": 1}],
+                "card_types": [{"power": 1, "demand": 1}],
+            },
+            {
+                "problem": "rack",
+                "racks": 2,
+                "rack_models": [{"power": 1, "connectors": 1, "price": 1}],
+                "card_types": [{"power": 1, "demand": 0.5}],
+            },
+        ],
+    )
+    def test_non_integer_numbers_rejected(self, doc):
+        """Strings, floats and JSON booleans in a numeric field are schema
+        errors, not a crash inside the comparisons that follow."""
+        with pytest.raises(SchemaError):
+            load_instance(doc)
+
+    def test_repeated_csplib_hosts_rejected(self):
+        """A boat listed twice would become two hosts of one party."""
+        doc = {"problem": "progressive_party", "periods": 2, "csplib_hosts": [1, 1, 2]}
+        with pytest.raises(SchemaError, match=r"repeated boat ids \[1\]"):
+            load_instance(doc)
+
     def test_validation_warns_but_does_not_fix(self, capsys):
         doc = {
             "problem": "progressive_party",
@@ -418,6 +472,18 @@ class TestCli:
         code = main(["--problem", "sport", "--instance", str(bad)])
         assert code == 2
         assert capsys.readouterr().out == ""
+
+    def test_non_integer_capacity_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "party.json"
+        bad.write_text(
+            '{"problem": "progressive_party", "periods": 2,'
+            ' "hosts": [{"capacity": "6", "crew": 2}], "guests": [{"crew": 1}]}'
+        )
+        code = main(["--problem", "party", "--instance", str(bad)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "integers" in captured.err
 
     def test_problem_mismatch_exit_two(self, capsys):
         code = main(["--problem", "rack", "--instance", data_path("sport_n5.json")])

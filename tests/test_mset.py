@@ -7,9 +7,14 @@ import pytest
 from msetcp import oracle
 from msetcp.mset import (
     NO_INDEX,
+    MaxIndex,
     MultisetOrdering,
     SortedMultisetOrdering,
     StatelessMultisetOrdering,
+    _prune,
+    _runs,
+    _sorted_bounds,
+    _summary,
 )
 from msetcp.store import Inconsistent, Store
 
@@ -430,6 +435,83 @@ class TestIncrementalEqualsBatch:
                 assert list(rebuilt[2]) == occ.xmax_counts
                 assert list(rebuilt[3]) == occ.ymin_counts
                 assert srt.rebuilt_sorted(s) == (srt.xmin_sorted, srt.ymax_sorted)
+                x_keys, y_keys = MaxIndex(s, xs).keys, MaxIndex(s, ys).keys
+                for p in (occ, srt):
+                    assert p.xmax_index.keys == x_keys
+                    assert p.ymax_index.keys == y_keys
+
+    def test_index_splits_negative_maxima(self):
+        s = Store()
+        vs = [s.new_var(d) for d in ([-3, -1], [-7], [0, 2], [-1])]
+        index = MaxIndex(s, vs)
+        assert index.reaching(NO_INDEX) == [vs[1], vs[0], vs[3], vs[2]]
+        assert index.reaching(-1) == [vs[0], vs[3], vs[2]]
+        assert index.reaching(0) == [vs[2]]
+        assert index.reaching(3) == []
+
+
+def _full_prune(s, xs, ys, strict):
+    """The prune pass over the whole vectors, from freshly sorted bounds."""
+    _prune(s, xs, ys, *_summary(_runs(*_sorted_bounds(s, xs, ys)), strict))
+
+
+def _domains_after(s, xs, ys, prune):
+    """Domains after ``prune(s)``, or None when it fails."""
+    try:
+        prune(s)
+    except Inconsistent:
+        return None
+    return [s.values(v) for v in xs + ys]
+
+
+class TestIndexedPrune:
+    """The dedicated filters prune only the variables their max index hands
+    over; that must cut exactly what the pass over the whole vectors cuts."""
+
+    @pytest.mark.parametrize("variant", ["occ", "occ-entail", "sorted"])
+    def test_candidates_prune_like_full_vectors(self, variant):
+        rng = random.Random(f"indexed-prune-{variant}")
+        checked = failed = 0
+        for _ in range(120):
+            s = Store()
+
+            def domain():
+                lo = rng.randrange(-9, 4)
+                return rng.sample(range(lo, lo + 7), rng.randint(1, 4))
+
+            xs = [s.new_var(domain()) for _ in range(rng.randint(1, 60))]
+            ys = [s.new_var(domain()) for _ in range(rng.randint(1, 60))]
+            strict = rng.random() < 0.5
+            if variant == "sorted":
+                p = SortedMultisetOrdering(xs, ys, strict=strict)
+            else:
+                p = MultisetOrdering(xs, ys, strict=strict, entailment=variant == "occ-entail")
+            p.attach(s)
+            depth = 0
+            for _ in range(6):
+                s.push()
+                depth += 1
+                for v in rng.sample(xs + ys, rng.randint(0, 5)):
+                    bound = rng.choice(s.values(v))
+                    if rng.random() < 0.5:
+                        s.set_min(v, bound)
+                    else:
+                        s.set_max(v, bound)
+                s.push()
+                expected = _domains_after(s, xs, ys, lambda st: _full_prune(st, xs, ys, strict))
+                s.pop()
+                got = _domains_after(s, xs, ys, p.propagate)
+                assert got == expected
+                checked += 1
+                if got is None:
+                    failed += 1
+                    break
+            assert p.xmax_index.keys == MaxIndex(s, xs).keys
+            assert p.ymax_index.keys == MaxIndex(s, ys).keys
+            for _ in range(depth):
+                s.pop()
+        # the instances reach both outcomes
+        assert 0 < failed < checked
 
 
 class TestValidation:

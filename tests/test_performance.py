@@ -1,7 +1,10 @@
-"""Scaling smoke tests backing the complexity contracts (trend checks only)."""
+"""Scaling smoke tests backing the complexity contracts (trend checks and
+counts of domain reads, never absolute times)."""
 
 import random
 import time
+
+import pytest
 
 from msetcp.mset import MultisetOrdering, SortedMultisetOrdering
 from msetcp.store import Inconsistent, Store
@@ -64,3 +67,56 @@ def test_incremental_update_cost_independent_of_value_range():
     s.set_min(xs[0], s.values(xs[0])[1])
     changed = sum(1 for a, b in zip(before, p.xmin_counts) if a != b)
     assert changed == 2
+
+
+class CountingStore(Store):
+    """A store that counts the domain reads a propagator makes."""
+
+    __slots__ = ("reads",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.reads = 0
+
+    def values(self, var):
+        self.reads += 1
+        return super().values(var)
+
+    def min(self, var):
+        self.reads += 1
+        return super().min(var)
+
+    def max(self, var):
+        self.reads += 1
+        return super().max(var)
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [
+        MultisetOrdering,
+        lambda xs, ys: MultisetOrdering(xs, ys, entailment=True),
+        SortedMultisetOrdering,
+    ],
+    ids=["occ", "occ-entail", "sorted"],
+)
+def test_prune_reads_only_variables_reaching_first_lt(factory):
+    """At n = 10^4 the top value 9 is held by the max of k = 3 Y variables
+    and by no X, so first_lt is 9; the prune pass may read only the domains
+    whose max reaches it, not all 2 * 10^4."""
+    n, k = 10_000, 3
+    rng = random.Random(5)
+    s = CountingStore()
+    xs = [s.new_var(range(rng.randrange(6), 6)) for _ in range(n)]
+    ys = [s.new_var(range(rng.randrange(6), 6)) for _ in range(n - k)]
+    ys += [s.new_var(range(rng.randrange(6), 10)) for _ in range(k)]
+    p = factory(xs, ys)
+    p.post(s)
+    assert p.last_flags.first_lt == 9
+    s.push()
+    assert s.set_min(xs[0], 5)  # a bound change, as in search
+    s.reads = 0
+    p.propagate(s)
+    assert p.last_flags.first_lt == 9
+    assert s.reads <= 4 * k, s.reads
+    s.pop()
