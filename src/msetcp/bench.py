@@ -12,6 +12,7 @@ encoding.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field
 from importlib import resources
@@ -58,6 +59,9 @@ class RunConfig:
             raise SchemaError(f"unknown labelling {self.labelling!r}")
         if self.entailment and self.encoding != "algorithm":
             raise SchemaError("entailment is tracked by the algorithm encoding only")
+        # NaN fails both comparisons
+        if self.timeout is not None and not 0 < self.timeout < math.inf:
+            raise SchemaError(f"timeout must be finite and positive, not {self.timeout}")
 
 
 @dataclass

@@ -20,6 +20,7 @@ re-checked against the ground semantics of all posted constraints.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -281,8 +282,10 @@ class Solver:
 
         Returns the (last) solution as a value list indexed by variable id,
         or None when unsatisfiable.  Raises :class:`SearchTimeout` when the
-        time budget runs out.
+        time budget runs out, and ValueError on a NaN budget, which never would.
         """
+        if timeout is not None and math.isnan(timeout):
+            raise ValueError("timeout is NaN")
         stats = self.stats
         order = self._full_order(branching)
         if minimize is not None and minimize not in order:

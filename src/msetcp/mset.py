@@ -5,13 +5,14 @@ vectors, their validation, the wake-up events and the ground ``check``), and
 the three filters share one core.  :func:`_summary` is the pointer/flag scan:
 from how often each value occurs in the floor of X (every ``min(X_i)``) and
 in the ceiling of Y (every ``max(Y_i)``) it finds, in value space, where the
-two first differ.  :func:`_prune` then decides in constant time per variable
-the tight upper bound of every ``X_i`` and the tight lower bound of every
-``Y_i``.  Only those bounds are ever touched, so a single pass reaches the
-generalised arc consistent fixpoint and no pruning can wipe out a domain
-once disentailment has been ruled out.  Each cut depends only on that
-variable's own domain and the flags, and no variable whose max is below
-``first_lt`` is cut, so the pass visits only the others, in any order.
+two first differ, and reads further only when the prune needs it.
+:func:`_prune` then decides in constant time per variable the tight upper
+bound of every ``X_i`` and the tight lower bound of every ``Y_i``.  Only
+those bounds are ever touched, so a single pass reaches the generalised arc
+consistent fixpoint and no pruning can wipe out a domain once disentailment
+has been ruled out.  Each cut depends only on that variable's own domain
+and the flags, and no variable whose max is below ``first_lt`` is cut, so the
+pass visits only the others, in any order.
 
 The filters differ only in where the counts come from.
 :class:`MultisetOrdering` keeps occurrence vectors over the values renamed
@@ -51,7 +52,8 @@ class Flags:
     often on the X side (NO_INDEX when absent).  ``flat_between``: whether the
     counts agree at every value strictly between the two.  ``tail_wrong``:
     whether the counts below ``first_gt`` compare the wrong way; under the
-    strict constraint a tie below ``first_gt`` also counts as wrong.
+    strict constraint a tie below ``first_gt`` also counts as wrong.  The last
+    three are computed only when :func:`_prune` needs them (see :func:`_summary`).
     """
 
     first_lt: float
@@ -112,17 +114,20 @@ def _runs(sx: Sequence[int], sy: Sequence[int]) -> Iterator[tuple[int, int, int]
 
 
 def _summary(
-    runs: Iterable[tuple[int, int, int]], strict: bool
+    runs: Iterable[tuple[int, int, int]], strict: bool, complete: bool = False
 ) -> tuple[Flags, int, int, int, int]:
     """The pointer/flag scan over the floor counts of X and ceiling counts of Y.
 
     ``runs`` gives ``(value, X count, Y count)`` from the largest value down;
     a value that neither side holds may be left out, as it cannot change the
-    lex comparison, and the scan reads only as far as it needs.  Returns the
-    flags in value space and the X and Y counts at ``first_lt`` and at
-    ``first_gt`` (zero at NO_INDEX).  Raises Inconsistent exactly when the
-    constraint is disentailed: the X counts compare lex-greater (weak) or
-    lex-greater-or-equal (strict).
+    lex comparison.  Returns the flags in value space and the X and Y counts
+    at ``first_lt`` and at ``first_gt`` (zero at NO_INDEX).  Raises
+    Inconsistent exactly when the constraint is disentailed: the X counts
+    compare lex-greater (weak) or lex-greater-or-equal (strict).  Unless
+    ``complete``, it reads only what :func:`_prune` uses: past ``first_lt``
+    only if ``x_at_lt + 1 == y_at_lt``, below ``first_gt`` only if also flat
+    between and ``x_at_gt == y_at_gt + 1``; skipped fields read as if
+    ``first_gt`` were absent.
     """
     runs = iter(runs)
     for lt, x_at_lt, y_at_lt in runs:
@@ -134,6 +139,8 @@ def _summary(
         return Flags(NO_INDEX, NO_INDEX, False, False), 0, 0, 0, 0
     if x_at_lt > y_at_lt:
         raise Inconsistent("multiset ordering disentailed")
+    if not complete and x_at_lt + 1 != y_at_lt:  # never critical
+        return Flags(lt, NO_INDEX, False, False), x_at_lt, y_at_lt, 0, 0
     flat = True
     for gt, x_at_gt, y_at_gt in runs:
         if x_at_gt > y_at_gt:
@@ -142,11 +149,13 @@ def _summary(
             flat = False
     else:
         return Flags(lt, NO_INDEX, False, False), x_at_lt, y_at_lt, 0, 0
-    tail_wrong = strict
-    for _, cx, cy in runs:
-        if cx != cy:
-            tail_wrong = cx > cy
-            break
+    tail_wrong = False
+    if complete or (flat and x_at_gt == y_at_gt + 1):  # else past_gt holds anyway
+        tail_wrong = strict
+        for _, cx, cy in runs:
+            if cx != cy:
+                tail_wrong = cx > cy
+                break
     return Flags(lt, gt, flat, tail_wrong), x_at_lt, y_at_lt, x_at_gt, y_at_gt
 
 
@@ -447,11 +456,12 @@ class SortedMultisetOrdering(MultisetPair):
     # -- filtering ----------------------------------------------------------------
 
     def flags(self) -> tuple[Flags, int, int, int, int]:
-        """Pointer/flag summary plus the four counts, from the sorted vectors."""
-        return _summary(_runs(self.xmin_sorted, self.ymax_sorted), self.strict)
+        """Complete pointer/flag summary plus the four counts, from the sorted
+        vectors."""
+        return _summary(_runs(self.xmin_sorted, self.ymax_sorted), self.strict, complete=True)
 
     def propagate(self, store: Store) -> Status:
-        fl, *counts = self.flags()
+        fl, *counts = _summary(_runs(self.xmin_sorted, self.ymax_sorted), self.strict)
         lt = fl.first_lt
         _prune(store, self.xmax_index.reaching(lt), self.ymax_index.reaching(lt), fl, *counts)
         self.last_flags = fl

@@ -139,6 +139,11 @@ class TestRunRecord:
         rec = run(RunConfig(symmetry="none"), data_instance("sport_n3.json"))
         assert "sport" in rec.text_line() and "none" in rec.text_line()
 
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), -1.0, 0])
+    def test_timeout_not_finite_and_positive_rejected(self, timeout):
+        with pytest.raises(SchemaError, match="timeout"):
+            run(RunConfig(timeout=timeout), data_instance("sport_n3.json"))
+
 
 class TestSportModel:
     def test_n3_satisfiable_and_matches_exhaustive_oracle(self):
@@ -517,6 +522,23 @@ class TestCli:
         assert code == 1
         rec = RunRecord.from_json(capsys.readouterr().out.strip().splitlines()[-1])
         assert rec.status == "timeout"
+
+    @pytest.mark.parametrize("timeout", ["nan", "inf", "-1", "0"])
+    def test_timeout_not_finite_and_positive_exit_two(self, timeout, capsys):
+        """A NaN or infinite budget never runs out (and NaN or Infinity would
+        make the JSON record invalid); a budget of zero or less times out
+        before the first node.  All are refused."""
+        code = main(
+            [
+                "--problem", "sport",
+                "--instance", data_path("sport_n5.json"),
+                "--timeout", timeout,
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "timeout" in captured.err
 
     def test_entailment_needs_the_algorithm_encoding(self, capsys):
         """Only the occurrence filter tracks entailment, so the flag under

@@ -286,6 +286,13 @@ class TestSolveFirst:
         with pytest.raises(SearchTimeout):
             Solver(m).solve(Branching([x, y], slow_after_first), timeout=0.01)
 
+    def test_nan_timeout_rejected(self):
+        # time.monotonic() + nan compares false with every clock reading
+        m = Model()
+        x = m.new_var(range(3))
+        with pytest.raises(ValueError, match="NaN"):
+            Solver(m).solve(Branching([x]), timeout=float("nan"))
+
 
 class TestSolveOptimal:
     def test_unconstrained_minimum(self):

@@ -451,8 +451,11 @@ class TestIncrementalEqualsBatch:
 
 
 def _full_prune(s, xs, ys, strict):
-    """The prune pass over the whole vectors, from freshly sorted bounds."""
-    _prune(s, xs, ys, *_summary(_runs(*_sorted_bounds(s, xs, ys)), strict))
+    """The prune pass over the whole vectors, from the complete scan of
+    freshly sorted bounds; returns that scan's summary."""
+    summary = _summary(_runs(*_sorted_bounds(s, xs, ys)), strict, complete=True)
+    _prune(s, xs, ys, *summary)
+    return summary
 
 
 def _domains_after(s, xs, ys, prune):
@@ -466,12 +469,25 @@ def _domains_after(s, xs, ys, prune):
 
 class TestIndexedPrune:
     """The dedicated filters prune only the variables their max index hands
-    over; that must cut exactly what the pass over the whole vectors cuts."""
+    over, and every filter's scan stops where the prune stops reading; that
+    must cut exactly what the complete scan and prune over the whole vectors
+    cut."""
 
-    @pytest.mark.parametrize("variant", ["occ", "occ-entail", "sorted"])
+    @staticmethod
+    def _stage(summary):
+        """How far the scan must read, given the complete summary."""
+        fl, x_at_lt, y_at_lt, x_at_gt, y_at_gt = summary
+        if x_at_lt + 1 != y_at_lt:
+            return "to first_lt"
+        if not (fl.flat_between and x_at_gt == y_at_gt + 1):
+            return "to first_gt"
+        return "into the tail"
+
+    @pytest.mark.parametrize("variant", ["occ", "occ-entail", "sorted", "stateless"])
     def test_candidates_prune_like_full_vectors(self, variant):
         rng = random.Random(f"indexed-prune-{variant}")
         checked = failed = 0
+        stages = set()
         for _ in range(120):
             s = Store()
 
@@ -484,6 +500,8 @@ class TestIndexedPrune:
             strict = rng.random() < 0.5
             if variant == "sorted":
                 p = SortedMultisetOrdering(xs, ys, strict=strict)
+            elif variant == "stateless":
+                p = StatelessMultisetOrdering(xs, ys, strict=strict)
             else:
                 p = MultisetOrdering(xs, ys, strict=strict, entailment=variant == "occ-entail")
             p.attach(s)
@@ -498,20 +516,29 @@ class TestIndexedPrune:
                     else:
                         s.set_max(v, bound)
                 s.push()
-                expected = _domains_after(s, xs, ys, lambda st: _full_prune(st, xs, ys, strict))
+                summary = []
+                expected = _domains_after(
+                    s, xs, ys, lambda st: summary.append(_full_prune(st, xs, ys, strict))
+                )
                 s.pop()
+                p.last_flags = None  # stays None when the call returns early
                 got = _domains_after(s, xs, ys, p.propagate)
                 assert got == expected
                 checked += 1
                 if got is None:
                     failed += 1
                     break
-            assert p.xmax_index.keys == MaxIndex(s, xs).keys
-            assert p.ymax_index.keys == MaxIndex(s, ys).keys
+                stages.add(self._stage(summary[0]))
+                if p.last_flags is not None:
+                    assert p.last_flags.first_lt == summary[0][0].first_lt
+            if variant != "stateless":
+                assert p.xmax_index.keys == MaxIndex(s, xs).keys
+                assert p.ymax_index.keys == MaxIndex(s, ys).keys
             for _ in range(depth):
                 s.pop()
-        # the instances reach both outcomes
+        # the instances reach both outcomes and every stage of the scan
         assert 0 < failed < checked
+        assert stages == {"to first_lt", "to first_gt", "into the tail"}
 
 
 class TestValidation:

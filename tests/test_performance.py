@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from msetcp.mset import MultisetOrdering, SortedMultisetOrdering
+from msetcp import mset
+from msetcp.mset import MultisetOrdering, SortedMultisetOrdering, StatelessMultisetOrdering
 from msetcp.store import Inconsistent, Store
 
 
@@ -119,4 +120,49 @@ def test_prune_reads_only_variables_reaching_first_lt(factory):
     p.propagate(s)
     assert p.last_flags.first_lt == 9
     assert s.reads <= 4 * k, s.reads
+    s.pop()
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [
+        MultisetOrdering,
+        lambda xs, ys: MultisetOrdering(xs, ys, entailment=True),
+        SortedMultisetOrdering,
+        StatelessMultisetOrdering,
+    ],
+    ids=["occ", "occ-entail", "sorted", "stateless"],
+)
+def test_scan_stops_at_first_lt_outside_the_critical_case(factory, monkeypatch):
+    """At n = 10^4 every X min is 0 and the Y maxes are 1..n (d ~ n), with
+    k = 3 of them raised to the top value n + 5.  There first_lt is the top
+    value and x_at_lt + 1 != y_at_lt = 3, so one call may read only a few
+    (value, X count, Y count) runs; scanning on to first_gt = 0 reads ~d."""
+    n, k = 10_000, 3
+    rng = random.Random(7)
+    s = Store()
+    xs = [s.new_var((0, rng.randrange(1, n))) for _ in range(n)]
+    ys = [s.new_var((i, i + 1)) for i in range(n - k)]
+    ys += [s.new_var((i, n + 5)) for i in range(k)]
+    p = factory(xs, ys)
+    p.post(s)
+    consumed = 0
+    summary = mset._summary
+
+    def counting_summary(runs, *args, **kwargs):
+        def counted():
+            nonlocal consumed
+            for run in runs:
+                consumed += 1
+                yield run
+
+        return summary(counted(), *args, **kwargs)
+
+    monkeypatch.setattr(mset, "_summary", counting_summary)
+    s.push()
+    assert s.set_min(xs[0], s.max(xs[0]))  # a bound change, as in search
+    p.propagate(s)
+    assert consumed <= 2, consumed
+    if hasattr(p, "last_flags"):
+        assert p.last_flags.first_lt == n + 5
     s.pop()
