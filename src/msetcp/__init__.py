@@ -16,10 +16,7 @@ from .engine import (
     Solver,
     Status,
     ascending,
-    descending,
     propagate_to_fixpoint,
-    solve_first,
-    solve_optimal,
 )
 from .mset import MultisetOrdering, SortedMultisetOrdering
 from .order import Ordering, lex_cmp, mset_cmp, sort_desc
@@ -40,11 +37,8 @@ __all__ = [
     "Status",
     "Store",
     "ascending",
-    "descending",
     "lex_cmp",
     "mset_cmp",
     "propagate_to_fixpoint",
-    "solve_first",
-    "solve_optimal",
     "sort_desc",
 ]

@@ -53,6 +53,15 @@ class RunConfig:
     timeout: Optional[float] = None
 
     def validate(self) -> None:
+        # the builders look symmetry up in dicts, and an unhashable key raises
+        if not isinstance(self.symmetry, str):
+            raise SchemaError(f"symmetry must be a string, not {self.symmetry!r}")
+        if not isinstance(self.entailment, bool):
+            raise SchemaError(f"entailment must be a bool, not {self.entailment!r}")
+        if self.timeout is not None and not (
+            isinstance(self.timeout, float) or _is_int(self.timeout)
+        ):
+            raise SchemaError(f"timeout must be a number, not {self.timeout!r}")
         if self.encoding not in ENCODINGS:
             raise SchemaError(f"unknown encoding {self.encoding!r}")
         if self.labelling not in ("row-wise", "column-wise"):
@@ -404,6 +413,8 @@ def build_rack(instance: dict, cfg: RunConfig) -> BuiltModel:
         raise SchemaError(f"unknown rack symmetry {cfg.symmetry!r}")
     if cfg.labelling != "row-wise":
         raise SchemaError("rack has one variable order; --labelling applies to party")
+    if cfg.entailment:
+        raise SchemaError("rack's conditional orderings do not track entailment")
     models = list(instance["rack_models"]) + [{"power": 0, "connectors": 0, "price": 0}]
     cards = instance["card_types"]
     r = instance["racks"]

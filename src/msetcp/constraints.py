@@ -536,28 +536,13 @@ def sum_eq(xs: Sequence[int], constant: int) -> LinearSum:
     return LinearSum([1] * len(xs), xs, "==", constant)
 
 
-class LessThan(Propagator):
-    """GAC on ``x < y``; idempotent for two distinct variables, as neither cut
-    moves the bound the other one reads."""
+class LessThan(LexOrdering):
+    """GAC on ``x < y``: the strict lex ordering of the one-element vectors
+    ``[x]`` and ``[y]``, whose filter cuts ``max x`` below ``max y`` and then
+    ``min y`` above ``min x``, and is entailed once ``max x < min y``."""
 
     def __init__(self, x: int, y: int) -> None:
-        self.x = x
-        self.y = y
-        self.idempotent = x != y
-
-    def subscriptions(self):
-        yield self.x, EventKind.BOUNDS
-        yield self.y, EventKind.BOUNDS
-
-    def propagate(self, store: Store) -> Status:
-        store.set_max(self.x, store.max(self.y) - 1)
-        store.set_min(self.y, store.min(self.x) + 1)
-        if store.max(self.x) < store.min(self.y):
-            return Status.ENTAILED
-        return Status.ACTIVE
-
-    def check(self, values: Sequence[int]) -> bool:
-        return values[self.x] < values[self.y]
+        super().__init__([x], [y], strict=True)
 
 
 class HostCapacity(Propagator):

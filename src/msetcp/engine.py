@@ -2,9 +2,11 @@
 
 Propagators subscribe to variable events through an int mask; the fixpoint
 loop is a FIFO queue with per-propagator deduplication, fed the store's raw
-events (one per shrink; the queued flag drops repeated wakes).  A propagator
-that is not declared idempotent is re-queued by the events its own pruning
-raises, so a filter subscribed to all of them need not loop to its own
+events (one per shrink; the queued flag drops repeated wakes).  It starts by
+draining the events still pending, so a search decision is just a store
+mutation followed by :meth:`Solver.fixpoint`.  A propagator that is not
+declared idempotent is re-queued by the events its own pruning raises, so a
+filter subscribed to all of them need not loop to its own
 fixpoint: one pass per call suffices.  An idempotent propagator (one call
 always leaves it at its own fixpoint) is not woken by its own events, only by
 other propagators' and by search decisions (Schulte & Stuckey, "Efficient
@@ -114,10 +116,6 @@ def ascending(var: int, values: tuple[int, ...]) -> Sequence[int]:
     return values
 
 
-def descending(var: int, values: tuple[int, ...]) -> Sequence[int]:
-    return values[::-1]
-
-
 @dataclass
 class Branching:
     """Static variable order plus a value order (ties break toward smaller)."""
@@ -177,8 +175,10 @@ class Solver:
     def fixpoint(self) -> None:
         """Run queued propagators until no propagator changes any domain.
 
-        An idempotent propagator stays marked as queued while the events of
-        its own call are dispatched, so they do not wake it again."""
+        The events pending when it starts (a search decision's) wake their
+        subscribers first.  An idempotent propagator stays marked as queued
+        while the events of its own call are dispatched, so they do not wake
+        it again."""
         store = self.store
         queue = self._queue
         popleft = queue.popleft
@@ -187,6 +187,9 @@ class Solver:
         drain = store.drain_events
         wake = self._wake_for
         entailed = Status.ENTAILED
+        events = drain()
+        if events:
+            wake(events)
         try:
             while queue:
                 idx = popleft()
@@ -263,7 +266,6 @@ class Solver:
             stats.choice_points += 1
             try:
                 store.assign(var, val)
-                self._wake_for(store.take_raw_events())
                 self.fixpoint()
                 return True
             except Inconsistent:
@@ -312,7 +314,6 @@ class Solver:
                 opened = False
                 try:
                     if bound is not None and store.set_max(minimize, bound - 1):
-                        self._wake_for(store.take_raw_events())
                         self.fixpoint()
                 except Inconsistent:
                     stats.fails += 1  # charged to the choice that led here
@@ -360,25 +361,3 @@ class Solver:
 def propagate_to_fixpoint(model: Model) -> bool:
     """Post everything and propagate once; False when the root fails."""
     return Solver(model).propagate_root()
-
-
-def solve_first(
-    model: Model, branching: Branching, timeout: Optional[float] = None
-) -> tuple[Optional[list[int]], SearchStats]:
-    """First solution of a satisfaction model (verified), or None + stats."""
-    return Solver(model).solve(branching, timeout=timeout)
-
-
-def solve_optimal(
-    model: Model, branching: Branching, timeout: Optional[float] = None
-) -> tuple[Optional[list[int]], SearchStats]:
-    """Minimize the model objective by branch and bound; proof by exhaustion.
-
-    Every incumbent posts a strict-improvement bound on the objective
-    variable, so the returned solution (if any) is the global minimum.
-    """
-    if model.objective is None:
-        raise ValueError("solve_optimal requires model.minimize(var)")
-    return Solver(model).solve(
-        branching, minimize=model.objective, timeout=timeout, first_only=False
-    )

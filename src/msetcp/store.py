@@ -8,9 +8,10 @@ propagators keep derived state such as occurrence vectors in sync with the
 domains at all times.  Modification events are plain int bit masks (the
 :class:`EventKind` constants), so building, merging and testing them costs
 one int operation each.  Pending events are drained either raw, one pair per
-shrink in the order raised (:meth:`Store.drain_events`, what the engine's
-fixpoint loop reads), or coalesced per variable
-(:meth:`Store.take_raw_events`, built on the raw drain).
+shrink in the order raised (:meth:`Store.drain_events`, the only drain the
+engine's fixpoint loop uses), or coalesced per variable
+(:meth:`Store.take_raw_events`, built on the raw drain, for callers that
+inspect what changed).
 """
 
 from __future__ import annotations

@@ -144,6 +144,20 @@ class TestRunRecord:
         with pytest.raises(SchemaError, match="timeout"):
             run(RunConfig(timeout=timeout), data_instance("sport_n3.json"))
 
+    @pytest.mark.parametrize(
+        "fields, instance",
+        [
+            ({"timeout": "5"}, "sport_n3.json"),  # was TypeError on comparing
+            ({"timeout": True}, "sport_n3.json"),  # was a 1 s budget
+            ({"entailment": "no"}, "sport_n5.json"),  # was entailment on
+            ({"symmetry": ["mset"]}, "party_toy.json"),  # was TypeError: unhashable
+        ],
+    )
+    def test_wrong_typed_field_rejected(self, fields, instance):
+        name = next(iter(fields))
+        with pytest.raises(SchemaError, match=name):
+            run(RunConfig(**fields), data_instance(instance))
+
 
 class TestSportModel:
     def test_n3_satisfiable_and_matches_exhaustive_oracle(self):
@@ -279,17 +293,17 @@ class TestRackModel:
         assert plain.status == sym.status == "solved"
         assert plain.objective == sym.objective == 650
 
-    def test_arith_same_tree_and_entailment_neutral(self):
+    def test_arith_same_tree_and_entailment_rejected(self):
+        """The conditional bodies never track entailment, so rack refuses
+        the option under either symmetry rather than ignore it."""
         inst = data_instance("rack_3.json")
         alg = run(RunConfig(symmetry="mset", encoding="algorithm", timeout=118), inst)
         ari = run(RunConfig(symmetry="mset", encoding="arith", timeout=118), inst)
-        ent = run(
-            RunConfig(symmetry="mset", encoding="algorithm", entailment=True, timeout=118),
-            inst,
-        )
         assert (alg.fails, alg.choice_points) == (ari.fails, ari.choice_points)
-        assert (alg.fails, alg.choice_points) == (ent.fails, ent.choice_points)
-        assert alg.objective == ari.objective == ent.objective
+        assert alg.objective == ari.objective
+        for symmetry in ("none", "mset"):
+            with pytest.raises(SchemaError, match="entailment"):
+                run(RunConfig(symmetry=symmetry, entailment=True), inst)
 
     def test_conditional_requires_stateless_encoding(self):
         inst = data_instance("rack_1.json")
@@ -549,6 +563,21 @@ class TestCli:
                 "--instance", data_path("sport_n5.json"),
                 "--symmetry", "mset",
                 "--encoding", "gcc",
+                "--entailment",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "entailment" in captured.err
+
+    def test_entailment_on_rack_exit_two(self, capsys):
+        code = main(
+            [
+                "--problem", "rack",
+                "--instance", data_path("rack_1.json"),
+                "--symmetry", "mset",
+                "--encoding", "algorithm",
                 "--entailment",
             ]
         )

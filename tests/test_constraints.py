@@ -20,7 +20,7 @@ from msetcp.constraints import (
     TableConstraint,
     sum_eq,
 )
-from msetcp.engine import Branching, Model, Solver, Status, propagate_to_fixpoint, solve_first
+from msetcp.engine import Branching, Model, Solver, Status, propagate_to_fixpoint
 from msetcp.mset import MultisetOrdering
 from msetcp.store import Inconsistent, Store
 
@@ -593,7 +593,7 @@ class TestAllDifferent:
         m = Model()
         x = m.new_var({1, 2})
         m.post(AllDifferent([x, x]))
-        sol, stats = solve_first(m, Branching([x]))
+        sol, stats = Solver(m).solve(Branching([x]))
         assert sol is None and stats.fails == 2
 
     def test_pigeonhole_not_detected_until_instantiation(self):
@@ -906,16 +906,13 @@ class TestLinearSum:
         store = m.store
         store.push()
         store.set_max(x, 0)  # x + y <= 0 + 3 whatever y is
-        s._wake_for(store.take_raw_events())
         s.fixpoint()
         n_calls = len(calls)
         store.set_max(y, 2)
-        s._wake_for(store.take_raw_events())
         s.fixpoint()
         assert len(calls) == n_calls  # entailed in this branch
         store.pop()
         store.set_min(x, 2)
-        s._wake_for(store.take_raw_events())
         s.fixpoint()
         assert len(calls) > n_calls  # active again after the pop
         assert store.values(y) == (0, 1)
@@ -1003,7 +1000,7 @@ class TestReifiedAndConditional:
                 xs = [m.new_var(d) for d in xd]
                 ys = [m.new_var(d) for d in yd]
                 m.post(Conditional(ra, rb, cls(xs, ys, strict=strict)))
-                sol, stats = solve_first(m, Branching([ra, rb] + xs + ys))
+                sol, stats = Solver(m).solve(Branching([ra, rb] + xs + ys))
                 trees.append((sol, stats.choice_points, stats.fails))
             assert trees[0] == trees[1], (xd, yd)
 

@@ -15,10 +15,7 @@ from msetcp.engine import (
     SearchTimeout,
     Solver,
     Status,
-    descending,
     propagate_to_fixpoint,
-    solve_first,
-    solve_optimal,
 )
 from msetcp.mset import MultisetOrdering
 from msetcp.store import EventKind, Inconsistent
@@ -94,9 +91,24 @@ class TestFixpoint:
         n_calls = len(calls)
         m.store.push()
         m.store.set_max(b, 5)
-        s._wake_for(m.store.take_raw_events())
         s.fixpoint()
         assert len(calls) == n_calls  # entailed at root, never woken again
+
+    def test_pending_change_wakes_subscribers(self):
+        """A change made before ``fixpoint`` starts, as a search decision is,
+        wakes its subscribers although the queue is empty."""
+        m = Model()
+        x = m.new_var(range(10))
+        y = m.new_var(range(10))
+        m.post(LessThan(x, y))
+        s = Solver(m)
+        assert s.propagate_root()
+        assert not s._queue
+        m.store.push()
+        m.store.set_max(y, 4)
+        s.fixpoint()
+        assert m.store.values(x) == (0, 1, 2, 3)
+        assert not m.store.drain_events()
 
 
 class EvenCap(Propagator):
@@ -133,7 +145,6 @@ class TestOwnEvents:
         assert spy.calls == runs  # the cap's own MAX_CHANGED wakes it only when not idempotent
         m.store.push()
         m.store.set_max(x, 7)  # a decision: an event the spy did not raise
-        s._wake_for(m.store.take_raw_events())
         s.fixpoint()
         assert max(m.store.values(x)) == 6
         assert spy.calls == 2 * runs
@@ -149,7 +160,6 @@ class TestOwnEvents:
         assert s.propagate_root()
         m.store.push()
         m.store.set_max(y, 8)  # LessThan cuts x to 7, which wakes the spy
-        s._wake_for(m.store.take_raw_events())
         s.fixpoint()
         assert max(m.store.values(x)) == 6
         assert spy.calls == 2
@@ -180,7 +190,6 @@ class TestOwnEvents:
         # the propagator that raised is woken again in the next branch
         m.store.push()
         m.store.assign(b, 2)
-        s._wake_for(m.store.take_raw_events())
         s.fixpoint()
         assert m.store.values(a) == (0, 1)
 
@@ -189,7 +198,7 @@ class TestSolveFirst:
     def test_trivial_model(self):
         m = Model()
         x = m.new_var({0, 1})
-        sol, stats = solve_first(m, Branching([x]))
+        sol, stats = Solver(m).solve(Branching([x]))
         assert sol[x] == 0
         assert stats.choice_points == 1 and stats.fails == 0
 
@@ -198,21 +207,21 @@ class TestSolveFirst:
         x = m.new_var({1})
         y = m.new_var({1})
         m.post(MultisetOrdering([x], [y], strict=True))
-        sol, stats = solve_first(m, Branching([x, y]))
+        sol, stats = Solver(m).solve(Branching([x, y]))
         assert sol is None
         assert stats.choice_points == 0 and stats.fails == 1
 
     def test_descending_value_order(self):
         m = Model()
         x = m.new_var({0, 1, 2})
-        sol, _ = solve_first(m, Branching([x], descending))
+        sol, _ = Solver(m).solve(Branching([x], lambda var, values: values[::-1]))
         assert sol[x] == 2
 
     def test_all_different_labelling(self):
         m = Model()
         vs = [m.new_var({1, 2, 3}) for _ in range(3)]
         m.post(AllDifferent(vs))
-        sol, stats = solve_first(m, Branching(vs))
+        sol, stats = Solver(m).solve(Branching(vs))
         assert sorted(sol[v] for v in vs) == [1, 2, 3]
 
     def test_unfixed_vars_outside_order_get_labelled(self):
@@ -220,7 +229,7 @@ class TestSolveFirst:
         x = m.new_var({0, 1})
         y = m.new_var({0, 1})
         m.post(LessThan(x, y))
-        sol, _ = solve_first(m, Branching([x]))
+        sol, _ = Solver(m).solve(Branching([x]))
         assert sol is not None and sol[x] < sol[y]
 
     def test_solution_is_recheck_verified(self):
@@ -241,14 +250,14 @@ class TestSolveFirst:
         x = m.new_var({0})
         m.post(Bogus(x))
         with pytest.raises(RuntimeError):
-            solve_first(m, Branching([x]))
+            Solver(m).solve(Branching([x]))
 
     def test_determinism(self):
         def run():
             m = Model()
             vs = [m.new_var({0, 1, 2}) for _ in range(4)]
             m.post(MultisetOrdering(vs[:2], vs[2:], strict=True))
-            return solve_first(m, Branching(vs))
+            return Solver(m).solve(Branching(vs))
 
         s1, st1 = run()
         s2, st2 = run()
@@ -264,7 +273,7 @@ class TestSolveFirst:
         # recursion limit
         m = Model()
         vs = [m.new_var({0, 1}) for _ in range(3000)]
-        sol, stats = solve_first(m, Branching(vs))
+        sol, stats = Solver(m).solve(Branching(vs))
         assert sol == [0] * 3000
         assert stats.choice_points == 3000 and stats.fails == 0
         assert m.store.depth() == 0  # every checkpoint popped after the solution
@@ -298,8 +307,7 @@ class TestSolveOptimal:
     def test_unconstrained_minimum(self):
         m = Model()
         x = m.new_var({2, 5})
-        m.minimize(x)
-        sol, stats = solve_optimal(m, Branching([x]))
+        sol, stats = Solver(m).solve(Branching([x]), minimize=x, first_only=False)
         assert sol[x] == 2 and stats.best_objective == 2
 
     def test_bound_drives_exhaustive_proof(self):
@@ -310,8 +318,7 @@ class TestSolveOptimal:
         m.post(LessThan(a, b))
         m.post(sum_eq([a, b], 3))
         m.post(LinearSum([1, 1, -1], [a, b, obj], "==", 0))
-        m.minimize(obj)
-        sol, stats = solve_optimal(m, Branching([a, b]))
+        sol, stats = Solver(m).solve(Branching([a, b]), minimize=obj, first_only=False)
         assert stats.best_objective == 3
         assert sol[a] + sol[b] == 3 and sol[a] < sol[b]
 
@@ -320,15 +327,8 @@ class TestSolveOptimal:
         a = m.new_var({3})
         obj = m.new_var(range(3))
         m.post(LinearSum([1, -1], [a, obj], "==", 0))  # obj = 3, out of range
-        m.minimize(obj)
-        sol, stats = solve_optimal(m, Branching([a]))
+        sol, stats = Solver(m).solve(Branching([a]), minimize=obj, first_only=False)
         assert sol is None
-
-    def test_requires_objective(self):
-        m = Model()
-        x = m.new_var({0})
-        with pytest.raises(ValueError):
-            solve_optimal(m, Branching([x]))
 
 
 class TestSearchCompleteness:
@@ -358,7 +358,7 @@ class TestSearchCompleteness:
             else:
                 m.post(MultisetOrdering(xs, ys, strict=strict))
                 cmp_fn = mset_cmp
-            sol, _ = solve_first(m, Branching(xs + ys))
+            sol, _ = Solver(m).solve(Branching(xs + ys))
             expected_sat = any(
                 cmp_fn(xv, yv) is Ordering.LESS
                 or (not strict and cmp_fn(xv, yv) is Ordering.EQUAL)
@@ -384,8 +384,9 @@ class TestSearchCompleteness:
             m.post(MultisetOrdering(xs, ys))
             obj = m.new_var(range(3 * n + 1))
             m.post(LinearSum([1] * n + [-1], xs + [obj], "==", 0))
-            m.minimize(obj)
-            sol, stats = solve_optimal(m, Branching(xs + ys))
+            sol, stats = Solver(m).solve(
+                Branching(xs + ys), minimize=obj, first_only=False
+            )
             feasible = [
                 sum(xv)
                 for xv in itertools.product(*xd)
@@ -409,7 +410,7 @@ class TestStatsInvariants:
             xs = [m.new_var([rng.randrange(3) for _ in range(rng.randint(1, 3))]) for _ in range(n)]
             ys = [m.new_var([rng.randrange(3) for _ in range(rng.randint(1, 3))]) for _ in range(n)]
             m.post(MultisetOrdering(xs, ys, strict=True))
-            sol, stats = solve_first(m, Branching(xs + ys))
+            sol, stats = Solver(m).solve(Branching(xs + ys))
             assert stats.fails <= stats.choice_points + 1
             if sol is not None:
                 assert stats.solutions == 1
