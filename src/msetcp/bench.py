@@ -66,8 +66,6 @@ class RunConfig:
             raise SchemaError(f"unknown encoding {self.encoding!r}")
         if self.labelling not in ("row-wise", "column-wise"):
             raise SchemaError(f"unknown labelling {self.labelling!r}")
-        if self.entailment and self.encoding != "algorithm":
-            raise SchemaError("entailment is tracked by the algorithm encoding only")
         # NaN fails both comparisons
         if self.timeout is not None and not 0 < self.timeout < math.inf:
             raise SchemaError(f"timeout must be finite and positive, not {self.timeout}")
@@ -411,10 +409,6 @@ def build_rack(instance: dict, cfg: RunConfig) -> BuiltModel:
     """
     if cfg.symmetry not in ("none", "mset"):
         raise SchemaError(f"unknown rack symmetry {cfg.symmetry!r}")
-    if cfg.labelling != "row-wise":
-        raise SchemaError("rack has one variable order; --labelling applies to party")
-    if cfg.entailment:
-        raise SchemaError("rack's conditional orderings do not track entailment")
     models = list(instance["rack_models"]) + [{"power": 0, "connectors": 0, "price": 0}]
     cards = instance["card_types"]
     r = instance["racks"]
@@ -504,8 +498,6 @@ def build_sport(instance: dict, cfg: RunConfig) -> BuiltModel:
     odd = n % 2 == 1
     if cfg.symmetry not in ("none", "mset", "lex"):
         raise SchemaError(f"unknown sport symmetry {cfg.symmetry!r}")
-    if cfg.labelling != "row-wise":
-        raise SchemaError("sport has one variable order; --labelling applies to party")
     if cfg.symmetry == "mset" and not odd:
         raise SchemaError("multiset column ordering applies to odd team counts only")
     periods = (n - 1) // 2 if odd else n // 2
@@ -565,12 +557,22 @@ def build_sport(instance: dict, cfg: RunConfig) -> BuiltModel:
 
 
 def build(instance: dict, cfg: RunConfig) -> BuiltModel:
+    """The model of ``instance`` under ``cfg``.  Refuses an option that would
+    reach nothing in it: a labelling outside party, or entailment where no
+    :class:`MultisetOrdering`, the one filter that tracks it, is posted."""
     problem = instance["problem"]
+    if problem != "progressive_party" and cfg.labelling != "row-wise":
+        raise SchemaError(f"{problem} has one variable order; --labelling applies to party")
     if problem == "progressive_party":
-        return build_progressive_party(instance, cfg)
-    if problem == "rack":
-        return build_rack(instance, cfg)
-    return build_sport(instance, cfg)
+        built = build_progressive_party(instance, cfg)
+    elif problem == "rack":
+        built = build_rack(instance, cfg)
+    else:
+        built = build_sport(instance, cfg)
+    props = built.model.propagators
+    if cfg.entailment and not any(isinstance(p, MultisetOrdering) for p in props):
+        raise SchemaError("no posted filter tracks entailment, so --entailment would do nothing")
+    return built
 
 
 def run(cfg: RunConfig, instance: dict) -> RunRecord:

@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--entailment",
         action="store_true",
-        help="track entailment in the dedicated filter",
+        help="track entailment in the dedicated filter (refused where none is posted)",
     )
     parser.add_argument(
         "--labelling",

@@ -6,10 +6,10 @@ sortedness channel are bounds-and-counting filters (not full GAC) built on
 one per-value count and one force/forbid rule, one pass per call, left to the
 engine's queue to re-run; all-different only reacts to instantiations.  The
 table, all-different, lexicographic, ``x < y``, ``<=`` sum and meet-once
-filters reach their own fixpoint in one call and declare ``idempotent``, so
-the engine does not wake them on their own events; all but all-different
-only while their variables are distinct, as a variable listed twice lets one
-cut enable another.  The linear sums are bounds consistent from one read of
+filters reach their own fixpoint in one call over distinct variables and
+declare ``idempotent`` on the class, so the engine, which trusts the
+declaration only where no variable is listed twice, does not wake them on
+their own events.  The linear sums are bounds consistent from one read of
 the domains per call: a term is cut only when its span exceeds the slack, and
 a sum is entailed as soon as its worst case holds, fixed variables or not.
 The table constraint is GAC by support bitsets (one bit per allowed tuple,
@@ -34,21 +34,16 @@ from .order import Ordering, lex_cmp, sort_desc
 from .store import EventKind, Inconsistent, Store
 
 
-def _distinct(variables: Sequence[int]) -> bool:
-    """No variable listed twice: the condition under which the table, lex,
-    ``x < y``, ``<=`` sum and meet-once filters are idempotent."""
-    return len(set(variables)) == len(variables)
-
-
 class LexOrdering(Propagator):
     """GAC filter for ``X <=lex Y`` (``<lex`` with strict), equal lengths.
 
     Walks the most significant indices whose pairs are not yet fixed equal;
     at the first such index the pair is forced weakly or strictly ordered
     depending on whether the remaining suffix can still rescue equality.
-    Being GAC, one call reaches its own fixpoint: it is idempotent while its
-    variables are distinct.
+    Being GAC, one call reaches its own fixpoint: it is idempotent.
     """
+
+    idempotent = True
 
     def __init__(self, xs: Sequence[int], ys: Sequence[int], strict: bool = False) -> None:
         if len(xs) != len(ys):
@@ -56,7 +51,6 @@ class LexOrdering(Propagator):
         self.xs = list(xs)
         self.ys = list(ys)
         self.strict = strict
-        self.idempotent = _distinct(self.xs + self.ys)
 
     def subscriptions(self):
         for v in self.xs:
@@ -220,10 +214,10 @@ class Cardinality(Propagator):
         return Status.ACTIVE
 
     def check(self, values: Sequence[int]) -> bool:
-        for val, o in zip(self.vals, self.occ):
-            if sum(1 for x in self.xs if values[x] == val) != values[o]:
-                return False
-        return True
+        taken = [values[x] for x in self.xs]
+        return set(taken) <= set(self.vals) and all(
+            taken.count(val) == values[o] for val, o in zip(self.vals, self.occ)
+        )
 
 
 class SortednessLink(Propagator):
@@ -401,16 +395,16 @@ class TableConstraint(Propagator):
     exactly one live tuple is left, since every domain is then that tuple's
     value.  The live set is recomputed from the domains, so nothing is trailed.
     Every tuple live before the narrowing is live after it, so a second call
-    finds the same live set and narrows nothing: the filter is idempotent
-    while its variables are distinct.
+    finds the same live set and narrows nothing: the filter is idempotent.
     """
+
+    idempotent = True
 
     def __init__(self, xs: Sequence[int], tuples: Sequence[tuple[int, ...]]) -> None:
         arity = len(xs)
         if any(len(t) != arity for t in tuples):
             raise ValueError("tuple arity mismatch")
         self.xs = list(xs)
-        self.idempotent = _distinct(self.xs)
         self.tuples = [tuple(t) for t in tuples]
         self._allowed = frozenset(self.tuples)
         self._all = (1 << len(self.tuples)) - 1
@@ -460,9 +454,9 @@ class LinearSum(Propagator):
     nothing.  Cuts on one side may leave the other side's bounds of the
     snapshot a little stale; what they cut is still implied, and the engine
     re-queues the sum on its own events, so the fixpoint is the textbook one.
-    A ``<=`` sum over distinct variables is idempotent: its cuts never move
-    ``lo``, so after one call every span fits the room and a second call cuts
-    nothing.  An ``==`` sum is not, as its lower-side cuts raise ``lo``.
+    A ``<=`` sum is idempotent: its cuts never move ``lo``, so after one call
+    every span fits the room and a second call cuts nothing.  An ``==`` sum
+    is not, as its lower-side cuts raise ``lo``.
     """
 
     def __init__(
@@ -481,7 +475,7 @@ class LinearSum(Propagator):
         self.xs = [x for _, x in pairs]
         self.relation = relation
         self.constant = constant
-        self.idempotent = relation == "<=" and _distinct(self.xs)
+        self.idempotent = relation == "<="
 
     def subscriptions(self):
         for v in self.xs:
@@ -602,14 +596,15 @@ class MeetOnce(Propagator):
     from the other.  Only instantiations decide a meeting or a removal, so
     the filter wakes on them alone.  A removal is made only opposite a fixed
     host, so it can neither make a second meeting nor call for another
-    removal: the filter is idempotent while its variables are distinct.
+    removal: the filter is idempotent.
     """
+
+    idempotent = True
 
     def __init__(self, row_a: Sequence[int], row_b: Sequence[int]) -> None:
         if len(row_a) != len(row_b):
             raise ValueError("both rows need one host per period")
         self.pairs = list(zip(row_a, row_b))
-        self.idempotent = _distinct(list(row_a) + list(row_b))
 
     def subscriptions(self):
         for a, b in self.pairs:
@@ -690,11 +685,11 @@ class Conditional(Propagator):
     """Run a body constraint only once two guard variables are fixed equal.
 
     While the guards are undecided nothing is filtered; once they are proven
-    different the wrapper is entailed.  Posting the wrapper attaches the body
-    at the root, where the domains are widest, so its set-up (validation,
-    incremental state, watchers) is done before its ``propagate`` first runs
-    at whatever depth the guards meet.  A body's own ``post`` is not run, so
-    a body must not rely on root pruning done there.
+    different the wrapper is entailed.  Attaching the wrapper attaches the
+    body at the root, where the domains are widest, so its set-up
+    (validation, incremental state, watchers) is done before its
+    ``propagate`` first runs at whatever depth the guards meet.  A body's own
+    ``post`` is not run, so a body must not rely on root pruning done there.
     """
 
     def __init__(self, guard_a: int, guard_b: int, body: Propagator) -> None:
@@ -707,9 +702,8 @@ class Conditional(Propagator):
         yield self.guard_b, EventKind.ANY
         yield from self.body.subscriptions()
 
-    def post(self, store: Store) -> Status:
+    def attach(self, store: Store) -> None:
         self.body.attach(store)
-        return self.propagate(store)
 
     def propagate(self, store: Store) -> Status:
         a, b = self.guard_a, self.guard_b

@@ -6,18 +6,19 @@ events (one per shrink; the queued flag drops repeated wakes).  It starts by
 draining the events still pending, so a search decision is just a store
 mutation followed by :meth:`Solver.fixpoint`.  A propagator that is not
 declared idempotent is re-queued by the events its own pruning raises, so a
-filter subscribed to all of them need not loop to its own
-fixpoint: one pass per call suffices.  An idempotent propagator (one call
-always leaves it at its own fixpoint) is not woken by its own events, only by
-other propagators' and by search decisions (Schulte & Stuckey, "Efficient
-Constraint Propagation Engines", TOPLAS 2008).  A propagator that reports
-ENTAILED is deactivated for the rest of the branch (the flag is trailed, so
-backtracking reactivates it).  Search uses static variable orders with
-per-model value orders.  The DFS keeps its open nodes on an explicit stack, so
-its depth is not bounded by the interpreter's recursion limit, and each node
-resumes the scan for the next unfixed variable where its parent's scan
-stopped (domains only shrink down a branch).  Every emitted solution is
-re-checked against the ground semantics of all posted constraints.
+filter subscribed to all of them need not loop to its own fixpoint: one pass
+per call suffices.  An idempotent propagator (one call always leaves it at
+its own fixpoint; trusted only when it subscribes to no variable twice) is
+not woken by its own events, only by other propagators' and by search
+decisions (Schulte & Stuckey, "Efficient Constraint Propagation Engines",
+TOPLAS 2008).  A propagator that reports ENTAILED is deactivated for the rest
+of the branch (the flag is trailed, so backtracking reactivates it).  Search
+uses static variable orders with per-model value orders.  The DFS keeps its
+open nodes on an explicit stack, so its depth is not bounded by the
+interpreter's recursion limit, and each node resumes the scan for the next
+unfixed variable where its parent's scan stopped (domains only shrink down a
+branch).  Every emitted solution is re-checked against the ground semantics
+of all posted constraints.
 """
 
 from __future__ import annotations
@@ -57,10 +58,10 @@ class Propagator:
     ``idempotent`` declares that one ``propagate`` (or ``post``) always leaves
     the propagator at its own fixpoint: run again at once, it would change no
     domain and raise nothing.  The engine then does not re-queue it on the
-    events of its own call.  Declare it on the class, or per instance where
-    it depends on the arguments (such as a variable listed twice), and only
-    when it holds for every domain; a wrong declaration loses pruning
-    silently.
+    events of its own call.  Declare it on the class, and only when it holds
+    for every domain over distinct variables: the engine ignores it for a
+    propagator that subscribes to a variable twice.  A wrong declaration
+    loses pruning silently.
     """
 
     idempotent = False
@@ -142,10 +143,13 @@ class Solver:
         self.props = list(model.propagators)
         n = len(self.props)
         self._subs: dict[int, list[tuple[int, int]]] = {}
+        self._idempotent: list[bool] = []
         for idx, prop in enumerate(self.props):
-            for var, mask in prop.subscriptions():
+            subs = list(prop.subscriptions())
+            for var, mask in subs:
                 self._subs.setdefault(var, []).append((idx, mask))
-        self._idempotent = [prop.idempotent for prop in self.props]
+            # a declared idempotence holds only over distinct variables
+            self._idempotent.append(prop.idempotent and len(dict(subs)) == len(subs))
         self._active = [True] * n
         self._posted = [False] * n
         self._queue: deque[int] = deque(range(n))

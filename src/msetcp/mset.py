@@ -354,23 +354,22 @@ class MultisetOrdering(MultisetPair):
 
     # -- filtering --------------------------------------------------------------
 
-    def entailment_holds(self) -> bool:
-        """Incremental-count version of the entailment test: compares the
-        occurrence vectors of ``max(X_i)`` and ``min(Y_i)``."""
+    @property
+    def entailed(self) -> bool:
+        """Whether every completion of the current domains satisfies the
+        ordering; only tracked (and only true) with ``entailment=True``, once
+        attached.  Compares the incrementally kept occurrence vectors of
+        ``max(X_i)`` and ``min(Y_i)``, so it follows the domains across
+        backtracking, as the counts do."""
         xc, yc = self.xmax_counts, self.ymin_counts
+        if xc is None:
+            return False
         i = len(xc) - 1
         while i >= 0 and xc[i] == yc[i]:
             i -= 1
         if i < 0:
             return not self.strict
         return xc[i] < yc[i]
-
-    @property
-    def entailed(self) -> bool:
-        """Whether every completion of the current domains satisfies the
-        ordering; only tracked (and only true) with ``entailment=True``, once
-        attached.  Follows the domains across backtracking, as the counts do."""
-        return self.xmax_counts is not None and self.entailment_holds()
 
     def propagate(self, store: Store) -> Status:
         if self.entailed:

@@ -331,6 +331,21 @@ class TestPartyModel:
     def _toy(self):
         return data_instance("party_toy.json")
 
+    def test_entailment_refused_when_mset_rows_posts_nothing(self):
+        """Rows are ordered only between adjacent guests of equal crew, so
+        with every crew different ``mset-rows`` posts no ordering at all."""
+        doc = {
+            "problem": "progressive_party",
+            "periods": 2,
+            "hosts": [{"capacity": 4, "crew": 1}, {"capacity": 4, "crew": 1}],
+            "guests": [{"crew": 2}, {"crew": 1}],
+        }
+        cfg = RunConfig(symmetry="mset-rows", entailment=True)
+        with pytest.raises(SchemaError, match="entailment"):
+            run(cfg, load_instance(doc))
+        cfg.entailment = False
+        assert run(cfg, load_instance(doc)).status == "solved"
+
     def test_toy_satisfiable_without_and_with_mset_rows(self):
         plain = run(RunConfig(symmetry="none"), self._toy())
         sym = run(RunConfig(symmetry="mset-rows"), self._toy())
@@ -554,30 +569,28 @@ class TestCli:
         assert captured.out == ""
         assert "timeout" in captured.err
 
-    def test_entailment_needs_the_algorithm_encoding(self, capsys):
-        """Only the occurrence filter tracks entailment, so the flag under
-        any other encoding would do nothing and is refused."""
+    @pytest.mark.parametrize(
+        "problem, instance, symmetry, encoding",
+        [
+            ("sport", "sport_n5.json", "mset", "gcc"),
+            ("rack", "rack_1.json", "mset", "algorithm"),
+            ("sport", "sport_n5.json", "none", "algorithm"),
+            ("sport", "sport_n5.json", "lex", "algorithm"),
+            ("party", "party_toy.json", "lex", "algorithm"),
+        ],
+    )
+    def test_entailment_without_a_tracking_filter_exit_two(
+        self, problem, instance, symmetry, encoding, capsys
+    ):
+        """Only an unconditional occurrence filter tracks entailment: another
+        encoding, rack's conditional orderings and a symmetry that posts no
+        multiset ordering leave the flag nothing to do, so it is refused."""
         code = main(
             [
-                "--problem", "sport",
-                "--instance", data_path("sport_n5.json"),
-                "--symmetry", "mset",
-                "--encoding", "gcc",
-                "--entailment",
-            ]
-        )
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "entailment" in captured.err
-
-    def test_entailment_on_rack_exit_two(self, capsys):
-        code = main(
-            [
-                "--problem", "rack",
-                "--instance", data_path("rack_1.json"),
-                "--symmetry", "mset",
-                "--encoding", "algorithm",
+                "--problem", problem,
+                "--instance", data_path(instance),
+                "--symmetry", symmetry,
+                "--encoding", encoding,
                 "--entailment",
             ]
         )

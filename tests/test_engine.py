@@ -115,13 +115,15 @@ class EvenCap(Propagator):
     """Spy: caps ``x`` at its largest even value, so each of its calls may
     prune ``x`` and a second call in a row never does."""
 
-    def __init__(self, x, idempotent):
+    def __init__(self, x, idempotent, copies=1):
         self.x = x
         self.idempotent = idempotent
+        self.copies = copies  # how many times ``subscriptions`` lists x
         self.calls = 0
 
     def subscriptions(self):
-        yield self.x, EventKind.BOUNDS
+        for _ in range(self.copies):
+            yield self.x, EventKind.BOUNDS
 
     def propagate(self, store):
         self.calls += 1
@@ -133,11 +135,17 @@ class EvenCap(Propagator):
 
 
 class TestOwnEvents:
-    @pytest.mark.parametrize("idempotent, runs", [(True, 1), (False, 2)])
-    def test_own_events_requeue_only_a_non_idempotent_propagator(self, idempotent, runs):
+    @pytest.mark.parametrize(
+        "idempotent, copies, runs",
+        [(True, 1, 1), (False, 1, 2), (True, 2, 2)],
+        ids=["True-1", "False-2", "aliased-True-2"],
+    )
+    def test_own_events_requeue_only_a_non_idempotent_propagator(self, idempotent, copies, runs):
+        """A declared idempotence over a variable subscribed twice is not
+        trusted: that propagator is re-queued like a non-idempotent one."""
         m = Model()
         x = m.new_var(range(10))
-        spy = EvenCap(x, idempotent)
+        spy = EvenCap(x, idempotent, copies)
         m.post(spy)
         s = Solver(m)
         assert s.propagate_root()
