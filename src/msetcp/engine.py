@@ -282,13 +282,16 @@ class Solver:
         branching: Branching,
         minimize: Optional[int] = None,
         timeout: Optional[float] = None,
-        first_only: bool = True,
+        first_only: bool = False,
     ) -> tuple[Optional[list[int]], SearchStats]:
         """DFS labelling; with ``minimize`` set, branch-and-bound to the optimum.
 
         Returns the (last) solution as a value list indexed by variable id,
-        or None when unsatisfiable.  Raises :class:`SearchTimeout` when the
-        time budget runs out, and ValueError on a NaN budget, which never would.
+        or None when unsatisfiable.  Without ``minimize`` the first solution
+        ends the search; with it, the search goes on until the last incumbent
+        is proved optimal, unless ``first_only`` stops it at the first one.
+        Raises :class:`SearchTimeout` when the time budget runs out, and
+        ValueError on a NaN budget, which never would.
         """
         if timeout is not None and math.isnan(timeout):
             raise ValueError("timeout is NaN")

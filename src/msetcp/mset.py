@@ -22,23 +22,31 @@ sorted vectors and merges them into run-length counts on every call
 (:func:`_runs`), as far as the scan reads, at a cost independent of the size
 of the value range.
 :class:`StatelessMultisetOrdering` sorts its bounds and runs the same merge
-on every call and keeps nothing.  The two dedicated filters set up their
-vectors and a :class:`MaxIndex` per side in ``attach`` and keep them in step
-through bound watchers, across backtracking too.
+on every call and keeps nothing.
+
+The two dedicated filters (:class:`DedicatedFilter`) set up in ``attach`` from
+one snapshot of the domains, a single ``store.values`` read per variable
+(:func:`_domains`): the rank map, every count vector, the sorted vectors and
+the :class:`MaxIndex` of each side all derive from it, and the from-scratch
+rebuilds go through the same builders.  Bound watchers then keep that state
+in step with the domains, across backtracking too.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort_left
 from dataclasses import dataclass
-from operator import neg
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from itertools import chain
+from operator import itemgetter, neg
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .engine import Propagator, Status
 from .order import Ordering, mset_cmp
 from .store import EventKind, Inconsistent, Store
 
 NO_INDEX = float("-inf")
+
+_low, _high = itemgetter(0), itemgetter(-1)  # the bounds of a domain tuple
 
 
 @dataclass(frozen=True)
@@ -62,35 +70,33 @@ class Flags:
     tail_wrong: bool
 
 
-def _rank_map(store: Store, variables: Iterable[int]) -> tuple[dict[int, int], list[int]]:
-    """Order isomorphism from the union of the domains onto ``0..d-1``.
+def _domains(store: Store, variables: Iterable[int]) -> list[tuple[int, ...]]:
+    """One read of every domain of ``variables``: the snapshot that set-up
+    derives everything from."""
+    return list(map(store.values, variables))
+
+
+def _rank_map(domains: Iterable[Sequence[int]]) -> tuple[dict[int, int], list[int]]:
+    """Order isomorphism from the union of ``domains`` onto ``0..d-1``.
 
     Returns the value->rank map and its inverse (the sorted distinct values).
     Renaming preserves multiset comparisons and keeps count vectors dense.
     """
-    values: set[int] = set()
-    for v in variables:
-        values.update(store.values(v))
-    unrank = sorted(values)
-    return {v: r for r, v in enumerate(unrank)}, unrank
+    unrank = sorted(set(chain.from_iterable(domains)))
+    return dict(zip(unrank, range(len(unrank)))), unrank
 
 
-def _occurrence_counts(
-    rank: dict[int, int], d: int, bound: Callable[[int], int], variables: Iterable[int]
-) -> list[int]:
-    """How often each rank occurs among the ``bound`` (a store's ``min`` or
-    ``max``) of ``variables``."""
+def _occurrence_counts(rank: dict[int, int], d: int, bounds: Iterable[int]) -> list[int]:
+    """How often each rank occurs among ``bounds``."""
     counts = [0] * d
-    for v in variables:
-        counts[rank[bound(v)]] += 1
+    for b in bounds:
+        counts[rank[b]] += 1
     return counts
 
 
-def _sorted_bounds(
-    store: Store, xs: Sequence[int], ys: Sequence[int]
-) -> tuple[list[int], list[int]]:
+def _sorted_bounds(xmins: Iterable[int], ymaxs: Iterable[int]) -> tuple[list[int], list[int]]:
     """Every ``min(X_i)`` and every ``max(Y_i)``, each sorted descending."""
-    return sorted(map(store.min, xs), reverse=True), sorted(map(store.max, ys), reverse=True)
+    return sorted(xmins, reverse=True), sorted(ymaxs, reverse=True)
 
 
 def _runs(sx: Sequence[int], sy: Sequence[int]) -> Iterator[tuple[int, int, int]]:
@@ -169,10 +175,11 @@ class MaxIndex:
 
     __slots__ = ("keys", "stride")
 
-    def __init__(self, store: Store, variables: Sequence[int]) -> None:
+    def __init__(self, variables: Sequence[int], domains: Iterable[Sequence[int]]) -> None:
+        """Index ``variables`` by the upper bounds of ``domains``, their
+        domains in the same order."""
         self.stride = stride = max(variables, default=0) + 1
-        maxes = store.max
-        self.keys = sorted([maxes(v) * stride + v for v in variables])
+        self.keys = sorted([dom[-1] * stride + v for v, dom in zip(variables, domains)])
 
     def moved(self, var: int, old_max: int, new_max: int) -> None:
         keys, stride = self.keys, self.stride
@@ -263,7 +270,42 @@ class MultisetPair(Propagator):
         return cmp is not Ordering.GREATER
 
 
-class MultisetOrdering(MultisetPair):
+class DedicatedFilter(MultisetPair):
+    """What the two dedicated filters share: state set up in ``attach`` from
+    one read of every domain and kept in step by bound watchers.
+
+    ``attach`` takes the snapshot, hands it to :meth:`_set_up` for the
+    filter's own vectors, builds a :class:`MaxIndex` per side from it and
+    watches every variable once, X with ``_x_bounds_changed`` and Y with
+    ``_y_bounds_changed``, which each filter defines.
+    """
+
+    def __init__(self, xs: Sequence[int], ys: Sequence[int], strict: bool = False) -> None:
+        super().__init__(xs, ys, strict)
+        self.last_flags: Optional[Flags] = None
+        self.xmax_index: Optional[MaxIndex] = None
+        self.ymax_index: Optional[MaxIndex] = None
+
+    def attach(self, store: Store) -> None:
+        xs, ys = self.xs, self.ys
+        xdoms, ydoms = _domains(store, xs), _domains(store, ys)
+        self._set_up(xdoms, ydoms)
+        self.xmax_index, self.ymax_index = MaxIndex(xs, xdoms), MaxIndex(ys, ydoms)
+        # one bound method per side, not one per variable
+        watch = store.watch_bounds
+        cb = self._x_bounds_changed
+        for x in xs:
+            watch(x, cb)
+        cb = self._y_bounds_changed
+        for y in ys:
+            watch(y, cb)
+
+    def _set_up(self, xdoms: list[tuple[int, ...]], ydoms: list[tuple[int, ...]]) -> None:
+        """Build the filter's own vectors from the snapshot."""
+        raise NotImplementedError
+
+
+class MultisetOrdering(DedicatedFilter):
     """Occurrence-vector filter for ``{{X}} <=m {{Y}}`` (``<m`` with strict).
 
     Domain values are renamed once, when attached, onto the contiguous range
@@ -287,28 +329,17 @@ class MultisetOrdering(MultisetPair):
         self.ymax_counts: list[int] = []
         self.xmax_counts: Optional[list[int]] = None
         self.ymin_counts: Optional[list[int]] = None
-        self.last_flags: Optional[Flags] = None
-        self.xmax_index: Optional[MaxIndex] = None
-        self.ymax_index: Optional[MaxIndex] = None
         self._rank: dict[int, int] = {}
         self._unrank: list[int] = []
 
     # -- setup ----------------------------------------------------------------
 
-    def attach(self, store: Store) -> None:
-        self._rank, self._unrank = _rank_map(store, self.xs + self.ys)
-        counts = self.rebuilt_counts(store)
+    def _set_up(self, xdoms: list[tuple[int, ...]], ydoms: list[tuple[int, ...]]) -> None:
+        self._rank, self._unrank = _rank_map(chain(xdoms, ydoms))
+        counts = self._counts(xdoms, ydoms)
         self.xmin_counts, self.ymax_counts = counts[0], counts[1]
         if self.track_entailment:
             self.xmax_counts, self.ymin_counts = counts[2], counts[3]
-        self.xmax_index, self.ymax_index = MaxIndex(store, self.xs), MaxIndex(store, self.ys)
-        # one bound method per side, not one per variable
-        cb = self._x_bounds_changed
-        for x in self.xs:
-            store.watch_bounds(x, cb)
-        cb = self._y_bounds_changed
-        for y in self.ys:
-            store.watch_bounds(y, cb)
 
     # -- incremental maintenance -----------------------------------------------
 
@@ -340,16 +371,22 @@ class MultisetOrdering(MultisetPair):
     def rebuilt_counts(self, store: Store) -> tuple[list[int], ...]:
         """Count vectors recomputed from scratch (reference for the
         incrementally maintained ones)."""
+        return self._counts(_domains(store, self.xs), _domains(store, self.ys))
+
+    def _counts(
+        self, xdoms: list[tuple[int, ...]], ydoms: list[tuple[int, ...]]
+    ) -> tuple[list[int], ...]:
+        """The count vectors over the rank map, from one domain snapshot."""
         rank, d = self._rank, len(self._unrank)
         counts = (
-            _occurrence_counts(rank, d, store.min, self.xs),
-            _occurrence_counts(rank, d, store.max, self.ys),
+            _occurrence_counts(rank, d, map(_low, xdoms)),
+            _occurrence_counts(rank, d, map(_high, ydoms)),
         )
         if not self.track_entailment:
             return counts
         return counts + (
-            _occurrence_counts(rank, d, store.max, self.xs),
-            _occurrence_counts(rank, d, store.min, self.ys),
+            _occurrence_counts(rank, d, map(_high, xdoms)),
+            _occurrence_counts(rank, d, map(_low, ydoms)),
         )
 
     # -- filtering --------------------------------------------------------------
@@ -394,12 +431,12 @@ class StatelessMultisetOrdering(MultisetPair):
 
     def propagate(self, store: Store) -> Status:
         xs, ys = self.xs, self.ys
-        runs = _runs(*_sorted_bounds(store, xs, ys))
+        runs = _runs(*_sorted_bounds(map(store.min, xs), map(store.max, ys)))
         _prune(store, xs, ys, *_summary(runs, self.strict))
         return Status.ACTIVE
 
 
-class SortedMultisetOrdering(MultisetPair):
+class SortedMultisetOrdering(DedicatedFilter):
     """Sorted-vector filter for ``{{X}} <=m {{Y}}`` (``<m`` with strict).
 
     Keeps ``min(X_i)`` and ``max(Y_i)`` as descending sorted vectors and
@@ -414,20 +451,9 @@ class SortedMultisetOrdering(MultisetPair):
         super().__init__(xs, ys, strict)
         self.xmin_sorted: list[int] = []
         self.ymax_sorted: list[int] = []
-        self.last_flags: Optional[Flags] = None
-        self.xmax_index: Optional[MaxIndex] = None
-        self.ymax_index: Optional[MaxIndex] = None
 
-    def attach(self, store: Store) -> None:
-        self.xmin_sorted, self.ymax_sorted = self.rebuilt_sorted(store)
-        self.xmax_index, self.ymax_index = MaxIndex(store, self.xs), MaxIndex(store, self.ys)
-        # one bound method per side, not one per variable
-        cb = self._x_bounds_changed
-        for x in self.xs:
-            store.watch_bounds(x, cb)
-        cb = self._y_bounds_changed
-        for y in self.ys:
-            store.watch_bounds(y, cb)
+    def _set_up(self, xdoms: list[tuple[int, ...]], ydoms: list[tuple[int, ...]]) -> None:
+        self.xmin_sorted, self.ymax_sorted = _sorted_bounds(map(_low, xdoms), map(_high, ydoms))
 
     # -- incremental maintenance -------------------------------------------------
 
@@ -450,7 +476,9 @@ class SortedMultisetOrdering(MultisetPair):
             self.ymax_index.moved(var, old_max, new_max)
 
     def rebuilt_sorted(self, store: Store) -> tuple[list[int], list[int]]:
-        return _sorted_bounds(store, self.xs, self.ys)
+        """Sorted vectors recomputed from scratch (reference for the
+        incrementally maintained ones)."""
+        return _sorted_bounds(map(store.min, self.xs), map(store.max, self.ys))
 
     # -- filtering ----------------------------------------------------------------
 

@@ -330,6 +330,21 @@ class TestSolveOptimal:
         assert stats.best_objective == 3
         assert sol[a] + sol[b] == 3 and sol[a] < sol[b]
 
+    def test_default_proves_the_optimum(self):
+        # descending values make the first solution the worst one, so only a
+        # search that goes on past it finds and proves x = 0
+        def solve(**kwargs):
+            m = Model()
+            x = m.new_var(range(4))
+            descending = Branching([x], lambda var, values: reversed(values))
+            sol, stats = Solver(m).solve(descending, minimize=x, **kwargs)
+            return sol[x], stats
+
+        best, stats = solve()
+        assert best == 0 and stats.best_objective == 0 and stats.solutions == 4
+        first, stats = solve(first_only=True)
+        assert first == 3 and stats.solutions == 1
+
     def test_infeasible_model(self):
         m = Model()
         a = m.new_var({3})

@@ -435,7 +435,8 @@ class TestIncrementalEqualsBatch:
                 assert list(rebuilt[2]) == occ.xmax_counts
                 assert list(rebuilt[3]) == occ.ymin_counts
                 assert srt.rebuilt_sorted(s) == (srt.xmin_sorted, srt.ymax_sorted)
-                x_keys, y_keys = MaxIndex(s, xs).keys, MaxIndex(s, ys).keys
+                x_keys = MaxIndex(xs, map(s.values, xs)).keys
+                y_keys = MaxIndex(ys, map(s.values, ys)).keys
                 for p in (occ, srt):
                     assert p.xmax_index.keys == x_keys
                     assert p.ymax_index.keys == y_keys
@@ -443,7 +444,7 @@ class TestIncrementalEqualsBatch:
     def test_index_splits_negative_maxima(self):
         s = Store()
         vs = [s.new_var(d) for d in ([-3, -1], [-7], [0, 2], [-1])]
-        index = MaxIndex(s, vs)
+        index = MaxIndex(vs, map(s.values, vs))
         assert index.reaching(NO_INDEX) == [vs[1], vs[0], vs[3], vs[2]]
         assert index.reaching(-1) == [vs[0], vs[3], vs[2]]
         assert index.reaching(0) == [vs[2]]
@@ -453,7 +454,8 @@ class TestIncrementalEqualsBatch:
 def _full_prune(s, xs, ys, strict):
     """The prune pass over the whole vectors, from the complete scan of
     freshly sorted bounds; returns that scan's summary."""
-    summary = _summary(_runs(*_sorted_bounds(s, xs, ys)), strict, complete=True)
+    sx, sy = _sorted_bounds(map(s.min, xs), map(s.max, ys))
+    summary = _summary(_runs(sx, sy), strict, complete=True)
     _prune(s, xs, ys, *summary)
     return summary
 
@@ -465,6 +467,74 @@ def _domains_after(s, xs, ys, prune):
     except Inconsistent:
         return None
     return [s.values(v) for v in xs + ys]
+
+
+def _wide_instance(n, seed=11):
+    """d ~ n: each domain a few scattered values of a range of about 3n."""
+    rng = random.Random(seed)
+    dom = lambda: rng.sample(range(-n, 2 * n), rng.randint(1, 3))
+    return [dom() for _ in range(n)], [dom() for _ in range(n + 3)]
+
+
+class TestSetUpFromSnapshot:
+    """The state ``attach`` builds equals a reference computed here straight
+    from the domains given, not through the filters' helpers."""
+
+    CASES = {
+        "negative": ([[-5, -1], [-3], [-2, 0, 4]], [[-4, -2], [-1, 3], [-6]]),
+        "holes": ([[1, 5, 9], [2, 8], [5]], [[3, 9], [1, 4, 7], [2, 6, 10]]),
+        "unequal lengths": ([[0, 1], [2, 3], [1, 4], [0]], [[3, 4], [2]]),
+        "all fixed": ([[3], [1], [3]], [[2], [4], [3], [0]]),
+        "d ~ n": _wide_instance(300),
+    }
+
+    @staticmethod
+    def _counts(unrank, bounds):
+        return [sum(1 for b in bounds if b == v) for v in unrank]
+
+    @staticmethod
+    def _keys(variables, maxes):
+        stride = max(variables) + 1
+        return sorted(m * stride + v for v, m in zip(variables, maxes))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_vectors_and_indexes_match_reference(self, case):
+        xd, yd = self.CASES[case]
+        s, xs, ys = make(xd, yd)
+        occ = MultisetOrdering(xs, ys, entailment=True)
+        srt = SortedMultisetOrdering(xs, ys)
+        occ.attach(s)
+        srt.attach(s)
+        unrank = sorted({v for d in xd + yd for v in d})
+        xmin, xmax = [min(d) for d in xd], [max(d) for d in xd]
+        ymin, ymax = [min(d) for d in yd], [max(d) for d in yd]
+        assert occ.xmin_counts == self._counts(unrank, xmin)
+        assert occ.ymax_counts == self._counts(unrank, ymax)
+        assert occ.xmax_counts == self._counts(unrank, xmax)
+        assert occ.ymin_counts == self._counts(unrank, ymin)
+        assert occ.rebuilt_counts(s) == (
+            occ.xmin_counts,
+            occ.ymax_counts,
+            occ.xmax_counts,
+            occ.ymin_counts,
+        )
+        assert srt.xmin_sorted == sorted(xmin, reverse=True)
+        assert srt.ymax_sorted == sorted(ymax, reverse=True)
+        assert srt.rebuilt_sorted(s) == (srt.xmin_sorted, srt.ymax_sorted)
+        for p in (occ, srt):
+            assert p.xmax_index.keys == self._keys(xs, xmax)
+            assert p.ymax_index.keys == self._keys(ys, ymax)
+            # the keys split back into the variables, ordered by max
+            by_max = sorted(range(len(ys)), key=lambda i: (ymax[i], ys[i]))
+            assert p.ymax_index.reaching(NO_INDEX) == [ys[i] for i in by_max]
+
+    def test_without_entailment_only_the_pruning_counts(self):
+        xd, yd = self.CASES["negative"]
+        s, xs, ys = make(xd, yd)
+        occ = MultisetOrdering(xs, ys)
+        occ.attach(s)
+        assert occ.xmax_counts is None and occ.ymin_counts is None
+        assert len(occ.rebuilt_counts(s)) == 2
 
 
 class TestIndexedPrune:
@@ -532,8 +602,8 @@ class TestIndexedPrune:
                 if p.last_flags is not None:
                     assert p.last_flags.first_lt == summary[0][0].first_lt
             if variant != "stateless":
-                assert p.xmax_index.keys == MaxIndex(s, xs).keys
-                assert p.ymax_index.keys == MaxIndex(s, ys).keys
+                assert p.xmax_index.keys == MaxIndex(xs, map(s.values, xs)).keys
+                assert p.ymax_index.keys == MaxIndex(ys, map(s.values, ys)).keys
             for _ in range(depth):
                 s.pop()
         # the instances reach both outcomes and every stage of the scan

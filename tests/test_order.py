@@ -96,7 +96,7 @@ def normalize_values(domains):
     """The filters' rank map over ``domains``, plus the renamed domains."""
     s = Store()
     vs = [s.new_var(d) for d in domains]
-    ranks, unrank = _rank_map(s, vs)
+    ranks, unrank = _rank_map(map(s.values, vs))
     assert [ranks[v] for v in unrank] == list(range(len(unrank)))
     return ranks, [tuple(ranks[v] for v in s.values(x)) for x in vs]
 

@@ -92,7 +92,7 @@ class CountingStore(Store):
         return super().max(var)
 
 
-@pytest.mark.parametrize(
+DEDICATED = pytest.mark.parametrize(
     "factory",
     [
         MultisetOrdering,
@@ -101,6 +101,22 @@ class CountingStore(Store):
     ],
     ids=["occ", "occ-entail", "sorted"],
 )
+
+
+@DEDICATED
+def test_attach_reads_each_domain_once(factory):
+    """Set-up derives the rank map, the vectors and both max indexes from one
+    snapshot, so it reads each domain once, not once per structure."""
+    n = 1_000
+    s = CountingStore()
+    xs = [s.new_var(range(i % 7, i % 7 + 3)) for i in range(n)]
+    ys = [s.new_var(range(i % 5, i % 5 + 4)) for i in range(n + 10)]
+    p = factory(xs, ys)
+    p.attach(s)
+    assert s.reads <= len(xs) + len(ys), s.reads
+
+
+@DEDICATED
 def test_prune_reads_only_variables_reaching_first_lt(factory):
     """At n = 10^4 the top value 9 is held by the max of k = 3 Y variables
     and by no X, so first_lt is 9; the prune pass may read only the domains
