@@ -84,12 +84,17 @@ class Propagator:
 
 
 class Model:
-    """Variable declarations plus posted propagators and an optional objective."""
+    """Variable declarations plus posted propagators and an optional objective.
+
+    One :class:`Solver` runs a model: it posts the propagators on the
+    model's store, so the model cannot be handed to a second one.
+    """
 
     def __init__(self) -> None:
         self.store = Store()
         self.propagators: list[Propagator] = []
         self.objective: Optional[int] = None
+        self._taken = False  # whether a Solver runs this model
 
     def new_var(self, values: Iterable[int]) -> int:
         return self.store.new_var(values)
@@ -138,6 +143,12 @@ class Solver:
     """Propagation network over one model; drives fixpoint and search."""
 
     def __init__(self, model: Model) -> None:
+        # a second network would post every propagator again on the same
+        # store, so a dedicated filter would watch its variables twice and
+        # count every bound change twice
+        if model._taken:
+            raise ValueError("this Model already has a Solver; build a new Model for another one")
+        model._taken = True
         self.model = model
         self.store = model.store
         self.props = list(model.propagators)

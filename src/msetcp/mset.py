@@ -17,19 +17,24 @@ pass visits only the others, in any order.
 The filters differ only in where the counts come from.
 :class:`MultisetOrdering` keeps occurrence vectors over the values renamed
 onto ``0..d-1`` when attached, in time linear in the vector length plus the
-number of distinct values.  :class:`SortedMultisetOrdering` keeps descending
-sorted vectors and merges them into run-length counts on every call
-(:func:`_runs`), as far as the scan reads, at a cost independent of the size
-of the value range.
+number of distinct values.  :class:`SortedMultisetOrdering` keeps every
+``min(X_i)`` sorted and reads every ``max(Y_i)`` from its Y :class:`MaxIndex`,
+and merges the two into run-length counts on every call
+(:func:`_block_runs`), as far as the scan reads, at a cost independent of
+the size of the value range.
 :class:`StatelessMultisetOrdering` sorts its bounds and runs the same merge
-on every call and keeps nothing.
+(:func:`_runs`) on every call and keeps nothing.
 
 The two dedicated filters (:class:`DedicatedFilter`) set up in ``attach`` from
 one snapshot of the domains, a single ``store.values`` read per variable
-(:func:`_domains`): the rank map, every count vector, the sorted vectors and
+(:func:`_domains`): the rank map, every count vector, the sorted vector and
 the :class:`MaxIndex` of each side all derive from it, and the from-scratch
 rebuilds go through the same builders.  Bound watchers then keep that state
-in step with the domains, across backtracking too.
+in step with the domains, across backtracking too.  Every sorted vector they
+keep is a :class:`SortedBlocks`, so one bound change moves one value in one
+block of at most ``BLOCK_SIZE`` values (two, when it leaves its block),
+whatever the vector length; a vector that fits in one block, as every shipped
+model's does, is a single sorted list.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort_left
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter, neg
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .engine import Propagator, Status
@@ -165,31 +170,159 @@ def _summary(
     return Flags(lt, gt, flat, tail_wrong), x_at_lt, y_at_lt, x_at_gt, y_at_gt
 
 
-class MaxIndex:
-    """The variables of one side of a filter, ordered by their current max.
+BLOCK_SIZE = 256  # the most values one block of a SortedBlocks holds
 
-    Sorted keys ``max * stride + var``, ``stride`` exceeding every variable;
-    ``%`` rounds toward -inf, so negative maxima split back too.  The filter's
-    bound watcher reports each max change, shrink or restore, to :meth:`moved`.
+
+class SortedBlocks:
+    """Ascending ints, repeats allowed, in sorted blocks of at most
+    ``BLOCK_SIZE`` values, with the maximum of every block but the last.
+
+    ``maxes`` bounds the blocks from above; the last block takes every value
+    above ``maxes[-1]``, so a bisect into ``maxes`` always names a block.
+    Moving one value (:meth:`move`) costs two bisects into ``maxes``, one into
+    a block, and a delete and an insert that shift at most two blocks, where
+    one flat sorted list shifts the whole vector.  A vector that fits in one
+    block is one sorted list, ``single`` (None for a longer vector), with no
+    maxima, and stays so, as a move keeps the length.  No block is empty but
+    the one block of an empty vector: one that empties is dropped, and one
+    that outgrows ``BLOCK_SIZE`` is split in half.
     """
 
-    __slots__ = ("keys", "stride")
+    __slots__ = ("blocks", "maxes", "single")
+
+    def __init__(self, values: Iterable[int]) -> None:
+        flat = sorted(values)
+        self.blocks = [flat[i : i + BLOCK_SIZE] for i in range(0, len(flat) or 1, BLOCK_SIZE)]
+        self.maxes = [block[-1] for block in self.blocks[:-1]]
+        self.single = None if self.maxes else self.blocks[0]
+
+    def __iter__(self) -> Iterator[int]:
+        return chain.from_iterable(self.blocks)
+
+    def move(self, old: int, new: int) -> None:
+        """Replace one ``old`` by ``new``; ValueError, and no change, when
+        there is no ``old``."""
+        blocks, maxes = self.blocks, self.maxes
+        i = bisect_left(maxes, old)  # the only block that can hold the first ``old``
+        block = blocks[i]
+        j = bisect_left(block, old)
+        if j == len(block) or block[j] != old:
+            raise ValueError(f"{old} is not in the vector")
+        k = bisect_left(maxes, new)  # the block ``new`` goes into
+        del block[j]
+        if k != i:
+            if block:
+                if i < len(maxes):
+                    maxes[i] = block[-1]
+            else:  # never the only block: that one is block k too
+                del blocks[i], maxes[min(i, len(maxes) - 1)]
+                if i < k:
+                    k -= 1
+            i, block = k, blocks[k]
+        insort_left(block, new)
+        if i < len(maxes):
+            maxes[i] = block[-1]
+        if len(block) > BLOCK_SIZE:
+            half = len(block) >> 1
+            blocks.insert(i + 1, block[half:])
+            del block[half:]
+            maxes.insert(i, block[-1])
+
+
+class MaxIndex(SortedBlocks):
+    """The variables of one side of a filter, ordered by their current max.
+
+    Holds the keys ``max * stride + var``, ``stride`` exceeding every
+    variable; ``%`` rounds toward -inf, so negative maxima split back too.
+    The filter's bound watcher reports each max change, shrink or restore, to
+    :meth:`moved`, which costs what one :meth:`SortedBlocks.move` costs.
+    """
+
+    __slots__ = ("stride",)
 
     def __init__(self, variables: Sequence[int], domains: Iterable[Sequence[int]]) -> None:
         """Index ``variables`` by the upper bounds of ``domains``, their
         domains in the same order."""
         self.stride = stride = max(variables, default=0) + 1
-        self.keys = sorted([dom[-1] * stride + v for v, dom in zip(variables, domains)])
+        super().__init__([dom[-1] * stride + v for v, dom in zip(variables, domains)])
+
+    @property
+    def keys(self) -> list[int]:
+        """Every key, ascending."""
+        return list(self)
 
     def moved(self, var: int, old_max: int, new_max: int) -> None:
-        keys, stride = self.keys, self.stride
-        del keys[bisect_left(keys, old_max * stride + var)]
-        insort_left(keys, new_max * stride + var)
+        stride = self.stride
+        old = old_max * stride + var
+        keys = self.single
+        if keys is not None:  # one block: :meth:`move` inlined, a call fewer
+            j = bisect_left(keys, old)
+            if j < len(keys) and keys[j] == old:
+                del keys[j]
+                insort_left(keys, new_max * stride + var)
+                return
+        self.move(old, new_max * stride + var)
 
     def reaching(self, bound: float) -> list[int]:
-        """The variables whose max is at least ``bound``: all at NO_INDEX."""
-        keys, stride = self.keys, self.stride
-        return [k % stride for k in keys[bisect_left(keys, bound * stride) :]]
+        """The variables whose max is at least ``bound``, ascending by key:
+        all at NO_INDEX."""
+        stride = self.stride
+        low = bound * stride
+        keys = self.single
+        if keys is not None:
+            keys = keys[bisect_left(keys, low) :]
+        else:
+            blocks = self.blocks
+            i = bisect_left(self.maxes, low)
+            block = blocks[i]
+            keys = chain(block[bisect_left(block, low) :], *blocks[i + 1 :])
+        return [k % stride for k in keys]
+
+
+def _block_runs(xmin: SortedBlocks, ymax: MaxIndex) -> Iterator[tuple[int, int, int]]:
+    """:func:`_runs` over the vectors :class:`SortedMultisetOrdering` keeps:
+    the values of ``xmin`` and the Y maxima that the keys of ``ymax`` hold.
+
+    Reads both from their last block down, by index, and a run that reaches
+    the start of a block goes on into the block below.  A Y key ``k`` holds
+    the max ``k // stride``: a value ``x`` lies above it exactly when
+    ``x * stride > k``, and once every larger key is read, the keys of value
+    ``v`` are the ones left from ``v * stride`` up.
+    """
+    stride = ymax.stride
+    xblocks, yblocks = xmin.blocks, ymax.blocks
+    bx, by = len(xblocks) - 1, len(yblocks) - 1
+    sx, sy = xblocks[bx], yblocks[by]
+    i, j = len(sx) - 1, len(sy) - 1
+    while i >= 0 or j >= 0:
+        if j < 0 or (i >= 0 and sx[i] * stride > sy[j]):
+            v = sx[i]
+        else:
+            v = sy[j] // stride
+        top = i
+        while i >= 0 and sx[i] == v:
+            i -= 1
+        cx = top - i
+        while i < 0 and bx > 0:
+            bx -= 1
+            sx = xblocks[bx]
+            i = top = len(sx) - 1
+            while i >= 0 and sx[i] == v:
+                i -= 1
+            cx += top - i
+        low = v * stride
+        top = j
+        while j >= 0 and sy[j] >= low:
+            j -= 1
+        cy = top - j
+        while j < 0 and by > 0:
+            by -= 1
+            sy = yblocks[by]
+            j = top = len(sy) - 1
+            while j >= 0 and sy[j] >= low:
+                j -= 1
+            cy += top - j
+        yield v, cx, cy
 
 
 def _prune(
@@ -439,40 +572,47 @@ class StatelessMultisetOrdering(MultisetPair):
 class SortedMultisetOrdering(DedicatedFilter):
     """Sorted-vector filter for ``{{X}} <=m {{Y}}`` (``<m`` with strict).
 
-    Keeps ``min(X_i)`` and ``max(Y_i)`` as descending sorted vectors and
-    merges them on every call, as far as the shared scan reads, into
-    run-length counts over the values they hold, so a call costs time linear
-    in the vector length, independent of the size of the value range, and no
-    per-value count array is ever kept.  Bound changes are folded in by
-    binary-search remove/insert.  The vectors may have different lengths.
+    Keeps every ``min(X_i)`` in a :class:`SortedBlocks` and reads every
+    ``max(Y_i)`` from the keys of its Y :class:`MaxIndex`, and merges the two
+    on every call, from the top and as far as the shared scan reads, into
+    run-length counts over the values they hold (:func:`_block_runs`), so a
+    call costs time linear in the vector length, independent of the size of
+    the value range, and no per-value count array is ever kept.  A bound
+    change moves one value of one of them.  The vectors may have different
+    lengths.
     """
 
     def __init__(self, xs: Sequence[int], ys: Sequence[int], strict: bool = False) -> None:
         super().__init__(xs, ys, strict)
-        self.xmin_sorted: list[int] = []
-        self.ymax_sorted: list[int] = []
+        self.xmin = SortedBlocks(())
 
     def _set_up(self, xdoms: list[tuple[int, ...]], ydoms: list[tuple[int, ...]]) -> None:
-        self.xmin_sorted, self.ymax_sorted = _sorted_bounds(map(_low, xdoms), map(_high, ydoms))
+        self.xmin = SortedBlocks(map(_low, xdoms))
+
+    @property
+    def xmin_sorted(self) -> list[int]:
+        """Every ``min(X_i)``, descending."""
+        return list(self.xmin)[::-1]
+
+    @property
+    def ymax_sorted(self) -> list[int]:
+        """Every ``max(Y_i)``, descending, as the Y index holds them."""
+        index = self.ymax_index
+        if index is None:
+            return []
+        stride = index.stride
+        return [k // stride for k in index.keys[::-1]]
 
     # -- incremental maintenance -------------------------------------------------
 
-    @staticmethod
-    def _replace(lst: list[int], old: int, new: int) -> None:
-        i = bisect_left(lst, -old, key=neg)
-        assert lst[i] == old, "stale sorted vector"
-        del lst[i]
-        insort_left(lst, new, key=neg)
-
     def _x_bounds_changed(self, var, old_min, old_max, new_min, new_max) -> None:
         if new_min != old_min:
-            self._replace(self.xmin_sorted, old_min, new_min)
+            self.xmin.move(old_min, new_min)
         if new_max != old_max:
             self.xmax_index.moved(var, old_max, new_max)
 
     def _y_bounds_changed(self, var, old_min, old_max, new_min, new_max) -> None:
         if new_max != old_max:
-            self._replace(self.ymax_sorted, old_max, new_max)
             self.ymax_index.moved(var, old_max, new_max)
 
     def rebuilt_sorted(self, store: Store) -> tuple[list[int], list[int]]:
@@ -483,12 +623,12 @@ class SortedMultisetOrdering(DedicatedFilter):
     # -- filtering ----------------------------------------------------------------
 
     def flags(self) -> tuple[Flags, int, int, int, int]:
-        """Complete pointer/flag summary plus the four counts, from the sorted
+        """Complete pointer/flag summary plus the four counts, from the kept
         vectors."""
-        return _summary(_runs(self.xmin_sorted, self.ymax_sorted), self.strict, complete=True)
+        return _summary(_block_runs(self.xmin, self.ymax_index), self.strict, complete=True)
 
     def propagate(self, store: Store) -> Status:
-        fl, *counts = _summary(_runs(self.xmin_sorted, self.ymax_sorted), self.strict)
+        fl, *counts = _summary(_block_runs(self.xmin, self.ymax_index), self.strict)
         lt = fl.first_lt
         _prune(store, self.xmax_index.reaching(lt), self.ymax_index.reaching(lt), fl, *counts)
         self.last_flags = fl

@@ -133,6 +133,23 @@ class EvenCap(Propagator):
     def check(self, values):
         return values[self.x] % 2 == 0
 
+    def test_second_solver_over_one_model_refused(self):
+        """A second Solver would post the filter again on the shared store,
+        so each bound change would reach its vectors twice."""
+        m = Model()
+        xs = [m.new_var(range(3)) for _ in range(3)]
+        ys = [m.new_var(range(3)) for _ in range(3)]
+        prop = MultisetOrdering(xs, ys)
+        m.post(prop)
+        assert Solver(m).propagate_root()
+        with pytest.raises(ValueError, match="already has a Solver"):
+            Solver(m)
+        with pytest.raises(ValueError, match="already has a Solver"):
+            propagate_to_fixpoint(m)
+        m.store.set_min(xs[0], 1)
+        assert prop.xmin_counts == [2, 1, 0]
+        assert prop.rebuilt_counts(m.store) == (prop.xmin_counts, prop.ymax_counts)
+
 
 class TestOwnEvents:
     @pytest.mark.parametrize(

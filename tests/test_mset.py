@@ -1,16 +1,21 @@
 """The multiset ordering filters: goldens, flags, incrementality, oracle parity."""
 
 import random
+from bisect import bisect_left
+from itertools import chain
 
 import pytest
 
 from msetcp import oracle
 from msetcp.mset import (
+    BLOCK_SIZE,
     NO_INDEX,
     MaxIndex,
     MultisetOrdering,
+    SortedBlocks,
     SortedMultisetOrdering,
     StatelessMultisetOrdering,
+    _block_runs,
     _prune,
     _runs,
     _sorted_bounds,
@@ -396,10 +401,11 @@ class TestDifferentialProperties:
 class TestIncrementalEqualsBatch:
     def test_random_shrink_and_backtrack_sequences(self):
         rng = random.Random(123)
-        for trial in range(300):
-            xd, yd = next(
-                iter(oracle.random_instances(1, seed=trial, max_len=5, max_values=6, max_domain_size=4))
-            )
+        small = (
+            next(iter(oracle.random_instances(1, seed=trial, max_len=5, max_values=6, max_domain_size=4)))
+            for trial in range(300)
+        )
+        for xd, yd in chain(small, [_multi_block_instance()]):
             s, xs, ys = make(xd, yd)
             occ = MultisetOrdering(xs, ys, entailment=True)
             srt = SortedMultisetOrdering(xs, ys)
@@ -409,7 +415,7 @@ class TestIncrementalEqualsBatch:
             except Inconsistent:
                 continue
             depth = 0
-            for _ in range(25):
+            for _ in range(25 if len(xd) <= BLOCK_SIZE else 300):
                 op = rng.randrange(5)
                 try:
                     if op == 0 and depth < 4:
@@ -451,6 +457,163 @@ class TestIncrementalEqualsBatch:
         assert index.reaching(3) == []
 
 
+class TestSortedBlocks:
+    """The blocked sorted vector behind the dedicated filters' sorted vector
+    and max indexes, against one flat sorted list."""
+
+    @staticmethod
+    def _check_shape(c):
+        blocks = c.blocks
+        assert blocks and all(len(b) <= BLOCK_SIZE for b in blocks)
+        assert all(blocks) or blocks == [[]]  # only an empty vector has an empty block
+        assert all(b == sorted(b) for b in blocks)
+        assert c.maxes == [b[-1] for b in blocks[:-1]]
+        assert c.single is (blocks[0] if len(blocks) == 1 else None)
+        flat = list(c)
+        assert flat == sorted(flat)
+
+    def test_move_of_absent_value_raises_and_changes_nothing(self):
+        spread = list(range(-BLOCK_SIZE, 2 * BLOCK_SIZE, 2))  # several blocks, even values
+        cases = [
+            ([], [0]),
+            ([4], [3, 5]),
+            ([1, 3, 3, 5], [0, 2, 4, 6]),
+            (spread, [-BLOCK_SIZE - 1, 1, BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 1]),
+        ]
+        for values, absent in cases:
+            c = SortedBlocks(values)
+            for old in absent:
+                with pytest.raises(ValueError, match="not in the vector"):
+                    c.move(old, values[0] if values else 0)
+                assert list(c) == sorted(values)
+                self._check_shape(c)
+        # the max index, as the bound watchers call it, in one block and in several
+        for n in (3, 3 * BLOCK_SIZE):
+            s = Store()
+            vs = [s.new_var([-1, 2 * i % 7]) for i in range(n)]
+            index = MaxIndex(vs, map(s.values, vs))
+            keys = index.keys
+            for old_max in (s.max(vs[1]) - 1, 7):  # below its max; above every max
+                with pytest.raises(ValueError, match="not in the vector"):
+                    index.moved(vs[1], old_max, 0)
+                assert index.keys == keys
+
+    @pytest.mark.parametrize(
+        "n, low, high",
+        [
+            (3 * BLOCK_SIZE + 7, -40, 40),  # many repeats
+            (3 * BLOCK_SIZE + 7, -(10**6), 10**6),  # few repeats
+            (BLOCK_SIZE, -5, 5),  # one full block
+            (1, -3, 3),
+        ],
+    )
+    def test_moves_match_a_flat_sorted_list(self, n, low, high):
+        rng = random.Random(f"{n}:{low}")
+        flat = sorted(rng.randint(low, high) for _ in range(n))
+        c = SortedBlocks(flat)
+        one_block = n <= BLOCK_SIZE
+        splits = emptied = 0
+
+        def move(old, new):
+            nonlocal splits, emptied
+            before = len(c.blocks)
+            c.move(old, new)
+            flat.remove(old)
+            flat.insert(bisect_left(flat, new), new)
+            splits += len(c.blocks) > before
+            emptied += len(c.blocks) < before
+            assert list(c) == flat
+
+        # lift the smallest values to the top: the low blocks empty, the top one splits
+        for _ in range(min(n, 2 * BLOCK_SIZE)):
+            move(flat[0], flat[-1] + rng.randint(0, 1))
+        for step in range(3000):
+            old = rng.choice(flat)
+            new = old + rng.randint(-3, 3) if step % 2 else rng.randint(low, high)
+            move(old, new)
+            if step % 100 == 0:
+                self._check_shape(c)
+        self._check_shape(c)
+        if one_block:
+            assert len(c.blocks) == 1
+        else:
+            assert splits and emptied
+
+    def test_reaching_matches_a_flat_index(self):
+        rng = random.Random(5)
+        s = Store()
+        n = 3 * BLOCK_SIZE + 1
+        vs = [s.new_var([0]) for _ in range(n)]
+        maxes = {v: rng.randint(-30, 30) for v in vs}
+        index = MaxIndex(vs, ([maxes[v]] for v in vs))
+
+        def expected(bound):
+            return [v for m, v in sorted((m, v) for v, m in maxes.items()) if m >= bound]
+
+        for step in range(2000):
+            v = rng.choice(vs)
+            new = rng.randint(-35, 35)
+            index.moved(v, maxes[v], new)
+            maxes[v] = new
+            if step % 50 == 0:
+                top = max(maxes.values())
+                assert index.keys == sorted(m * index.stride + v for v, m in maxes.items())
+                for bound in (NO_INDEX, top, top + 1, rng.randint(-35, 35)):
+                    assert index.reaching(bound) == expected(bound)
+        assert index.reaching(NO_INDEX) == expected(NO_INDEX)
+        assert index.reaching(max(maxes.values()) + 1) == []
+
+    @pytest.mark.parametrize("values", [3, 40, 5000])
+    def test_block_merge_counts_like_flat_runs(self, values):
+        """Runs that cross block starts on either side, Y keys at exactly
+        ``max * stride`` (variable 0), vectors of unequal lengths."""
+        rng = random.Random(values)
+        xmins = [rng.randrange(values) for _ in range(2 * BLOCK_SIZE + 11)]
+        ymaxs = [rng.randrange(values) for _ in range(3 * BLOCK_SIZE + 2)]
+        ys = list(range(len(ymaxs)))
+        xmin, ymax = SortedBlocks(xmins), MaxIndex(ys, ([m] for m in ymaxs))
+        for step in range(200):
+            expected = list(_runs(*_sorted_bounds(xmins, ymaxs)))
+            assert list(_block_runs(xmin, ymax)) == expected
+            i, j = rng.randrange(len(xmins)), rng.randrange(len(ys))
+            new_x, new_y = rng.randrange(values), rng.randrange(values)
+            xmin.move(xmins[i], new_x)
+            ymax.moved(ys[j], ymaxs[j], new_y)
+            xmins[i], ymaxs[j] = new_x, new_y
+        assert len(xmin.blocks) > 1 and len(ymax.blocks) > 1
+        assert list(_block_runs(SortedBlocks([]), MaxIndex([], []))) == []
+
+    def test_blocks_stay_bounded_through_a_search(self):
+        rng = random.Random(2024)
+        s = Store()
+        n = 2 * BLOCK_SIZE + 3
+        xs = [s.new_var(range(lo, lo + 6)) for lo in (rng.randrange(-20, 10) for _ in range(n))]
+        ys = [s.new_var(range(lo, lo + 6)) for lo in (rng.randrange(-10, 20) for _ in range(n))]
+        occ = MultisetOrdering(xs, ys)
+        srt = SortedMultisetOrdering(xs, ys)
+        occ.attach(s)
+        srt.attach(s)
+        moves = depth = 0
+        while moves < 10_000:
+            op = rng.random()
+            if op < 0.05 and depth < 6:
+                s.push()
+                depth += 1
+            elif op < 0.1 and depth:
+                s.pop()
+                depth -= 1
+            else:
+                v = rng.choice(xs + ys)
+                bound = rng.choice(s.values(v))
+                moves += s.set_min(v, bound) if rng.random() < 0.5 else s.set_max(v, bound)
+        for c in (srt.xmin, srt.xmax_index, srt.ymax_index, occ.xmax_index, occ.ymax_index):
+            self._check_shape(c)
+            assert len(c.blocks) > 1
+        assert srt.rebuilt_sorted(s) == (srt.xmin_sorted, srt.ymax_sorted)
+        assert occ.xmax_index.keys == MaxIndex(xs, map(s.values, xs)).keys
+        assert occ.ymax_index.keys == srt.ymax_index.keys
+
+
 def _full_prune(s, xs, ys, strict):
     """The prune pass over the whole vectors, from the complete scan of
     freshly sorted bounds; returns that scan's summary."""
@@ -467,6 +630,15 @@ def _domains_after(s, xs, ys, prune):
     except Inconsistent:
         return None
     return [s.values(v) for v in xs + ys]
+
+
+def _multi_block_instance(seed=7):
+    """Vectors of several blocks each, most values repeated, many negative,
+    that every filter posts without failing."""
+    rng = random.Random(seed)
+    dom = lambda lo: rng.sample(range(lo, lo + 12), rng.randint(1, 4))
+    n = 3 * BLOCK_SIZE + 5
+    return [dom(rng.randrange(-40, 0)) for _ in range(n)], [dom(rng.randrange(-9, 20)) for _ in range(n + 7)]
 
 
 def _wide_instance(n, seed=11):
@@ -558,15 +730,16 @@ class TestIndexedPrune:
         rng = random.Random(f"indexed-prune-{variant}")
         checked = failed = 0
         stages = set()
-        for _ in range(120):
+        for trial in range(121):
             s = Store()
 
             def domain():
                 lo = rng.randrange(-9, 4)
                 return rng.sample(range(lo, lo + 7), rng.randint(1, 4))
 
-            xs = [s.new_var(domain()) for _ in range(rng.randint(1, 60))]
-            ys = [s.new_var(domain()) for _ in range(rng.randint(1, 60))]
+            big = trial == 120  # the last instance's vectors span several blocks
+            xs = [s.new_var(domain()) for _ in range(3 * BLOCK_SIZE if big else rng.randint(1, 60))]
+            ys = [s.new_var(domain()) for _ in range(3 * BLOCK_SIZE + 9 if big else rng.randint(1, 60))]
             strict = rng.random() < 0.5
             if variant == "sorted":
                 p = SortedMultisetOrdering(xs, ys, strict=strict)
