@@ -403,7 +403,8 @@ def build_rack(instance: dict, cfg: RunConfig) -> BuiltModel:
     """Rack model assignment plus per-rack card counts, minimizing total price.
 
     A zero-power/zero-connector/zero-price dummy model marks unused racks.
-    One table per rack ties its model to its connectors, power and price.
+    One table per rack, all over one relation, ties its model to its
+    connectors, power and price.
     Same-model racks are interchangeable, so adjacent racks get a conditional
     multiset ordering on their card-count columns when symmetry is enabled.
     """
@@ -423,8 +424,9 @@ def build_rack(instance: dict, cfg: RunConfig) -> BuiltModel:
     power = [m.new_var({mo["power"] for mo in models}) for _ in range(r)]
     price = [m.new_var({mo["price"] for mo in models}) for _ in range(r)]
     rows = [(k, mo["connectors"], mo["power"], mo["price"]) for k, mo in enumerate(models)]
+    specs = TableConstraint([R[0], conn[0], power[0], price[0]], rows)
     for j in range(r):
-        m.post(TableConstraint([R[j], conn[j], power[j], price[j]], rows))
+        m.post(specs.on([R[j], conn[j], power[j], price[j]]))
         # (1) connector capacity
         m.post(LinearSum([1] * t + [-1], [C[i][j] for i in range(t)] + [conn[j]], "<=", 0))
         # (2) power capacity
@@ -526,10 +528,11 @@ def build_sport(instance: dict, cfg: RunConfig) -> BuiltModel:
     for j in range(periods):
         row = [T[j][w][s] for w in range(weeks) for s in range(2)]
         m.post(Cardinality(row, sorted(teams, reverse=True), occ_two))
-    # channel games, order slots
+    # channel games, order slots: one relation, compiled once
+    game = TableConstraint([T[0][0][0], T[0][0][1], G[0][0]], triples)
     for j in range(periods):
         for w in range(real_weeks):
-            m.post(TableConstraint([T[j][w][0], T[j][w][1], G[j][w]], triples))
+            m.post(game.on([T[j][w][0], T[j][w][1], G[j][w]]))
     # a real week's table triples already order its slots; only the dummy
     # week (even n) needs the explicit order
     for j in range(periods):

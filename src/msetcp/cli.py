@@ -1,8 +1,10 @@
 """``bench``: run one benchmark (problem, instance, config) and report stats.
 
 Prints a human-readable line plus the machine-readable JSON record to stdout;
-``--stats-json PATH`` additionally appends the JSON record to a file.  Exit
-codes: 0 on solved/unsat, 1 on timeout, 2 on schema or configuration errors.
+``--stats-json PATH`` additionally appends the JSON record to a file, which is
+opened before anything runs.  Exit codes: 0 on solved/unsat, 1 on timeout, 2
+on schema or configuration errors and when the ``--stats-json`` file cannot be
+opened.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional, Sequence
+from contextlib import nullcontext
+from typing import Optional, Sequence, TextIO
 
 from .bench import ENCODINGS, RunConfig, SchemaError, load_instance, run
 
@@ -63,6 +66,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # opened first, so a path that cannot take the record costs no search
+    try:
+        sink = open(args.stats_json, "a") if args.stats_json else nullcontext()
+    except OSError as exc:
+        print(f"error: cannot open --stats-json file: {exc}", file=sys.stderr)
+        return 2
+    with sink as stats:
+        return _bench(args, stats)
+
+
+def _bench(args: argparse.Namespace, stats: Optional[TextIO]) -> int:
+    """The run ``args`` asks for: print its record, append it to ``stats``
+    when given, and return the exit code."""
     try:
         instance = load_instance(args.instance)
         if instance["problem"] != _PROBLEM_ALIASES[args.problem]:
@@ -91,9 +107,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-    if args.stats_json:
-        with open(args.stats_json, "a") as fh:
-            fh.write(record.to_json() + "\n")
+    if stats is not None:
+        stats.write(record.to_json() + "\n")
     return 1 if record.status == "timeout" else 0
 
 

@@ -13,7 +13,8 @@ their own events.  The linear sums are bounds consistent from one read of
 the domains per call: a term is cut only when its span exceeds the slack, and
 a sum is entailed as soon as its worst case holds, fixed variables or not.
 The table constraint is GAC by support bitsets (one bit per allowed tuple,
-one AND per variable) and is entailed when exactly one allowed tuple is left.
+one AND per variable) and is entailed when exactly one allowed tuple is left;
+tables posted over one relation share its compiled supports.
 The arithmetic encoding of the multiset ordering uses exact big-integer
 weights and is bounds consistent, which for that constraint coincides with
 GAC.  The progressive party's capacity and meet-once filters read only the
@@ -396,6 +397,13 @@ class TableConstraint(Propagator):
     value.  The live set is recomputed from the domains, so nothing is trailed.
     Every tuple live before the narrowing is live after it, so a second call
     finds the same live set and narrows nothing: the filter is idempotent.
+
+    The masks, the allowed-tuple set and the full mask depend on the tuples
+    alone and are never written after they are built, so :meth:`on` posts the
+    same relation over other variables without building them again: a model
+    that posts one relation many times, such as the sport schedule's game
+    channel, compiles it once.  Nothing is kept beyond the tables themselves,
+    so two models share nothing unless they share a table.
     """
 
     idempotent = True
@@ -412,6 +420,22 @@ class TableConstraint(Propagator):
         for i, t in enumerate(self.tuples):
             for masks, v in zip(self.masks, t):
                 masks[v] = masks.get(v, 0) | 1 << i
+
+    def on(self, xs: Sequence[int]) -> "TableConstraint":
+        """The same relation over ``xs``: a new table that shares this one's
+        tuples, allowed set and support masks."""
+        if len(xs) != len(self.xs):
+            raise ValueError("tuple arity mismatch")
+        # attributes set one by one in the order of __init__, as reading
+        # ``__dict__`` would turn the new table's attributes into a plain dict
+        # that every attribute read in ``propagate`` then searches
+        table = object.__new__(type(self))
+        table.xs = list(xs)
+        table.tuples = self.tuples
+        table._allowed = self._allowed
+        table._all = self._all
+        table.masks = self.masks
+        return table
 
     def subscriptions(self):
         for v in self.xs:

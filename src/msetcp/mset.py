@@ -622,11 +622,6 @@ class SortedMultisetOrdering(DedicatedFilter):
 
     # -- filtering ----------------------------------------------------------------
 
-    def flags(self) -> tuple[Flags, int, int, int, int]:
-        """Complete pointer/flag summary plus the four counts, from the kept
-        vectors."""
-        return _summary(_block_runs(self.xmin, self.ymax_index), self.strict, complete=True)
-
     def propagate(self, store: Store) -> Status:
         fl, *counts = _summary(_block_runs(self.xmin, self.ymax_index), self.strict)
         lt = fl.first_lt

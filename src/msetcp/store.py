@@ -61,7 +61,15 @@ class Store:
     # -- variables ---------------------------------------------------------
 
     def new_var(self, values: Iterable[int]) -> int:
-        vals = tuple(sorted(set(values)))
+        """A new variable over ``values``; a value that is not an int (a bool,
+        a float, any subclass of int) is a ``TypeError``."""
+        vals = tuple(values)  # checked before deduplication, which lets 1 hide True
+        # a forward range holds ascending distinct ints already
+        if type(values) is not range or values.step < 0:
+            if set(map(type, vals)) - {int}:
+                bad = next(v for v in vals if type(v) is not int)
+                raise TypeError(f"domain value {bad!r} is not an int")
+            vals = tuple(sorted(set(vals)))
         if not vals:
             raise ValueError("variable created with empty domain")
         self._values.append(vals)
@@ -79,9 +87,6 @@ class Store:
 
     def max(self, var: int) -> int:
         return self._values[var][-1]
-
-    def size(self, var: int) -> int:
-        return len(self._values[var])
 
     def is_fixed(self, var: int) -> bool:
         return len(self._values[var]) == 1

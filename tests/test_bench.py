@@ -21,6 +21,7 @@ from msetcp.bench import (
     run,
 )
 from msetcp.cli import main
+from msetcp.constraints import TableConstraint
 from msetcp.order import mset_cmp, Ordering
 
 
@@ -265,6 +266,41 @@ class TestSportModel:
         assert plain.status == sym.status == "solved"
 
 
+class TestSharedTables:
+    """The sport and rack builders post every table of a model over one
+    compiled relation."""
+
+    @pytest.mark.parametrize("instance, tables", [("sport_n7.json", 21), ("rack_5.json", 5)])
+    def test_one_compile_per_relation_per_model(self, instance, tables, monkeypatch):
+        compiles = []
+        compile_table = TableConstraint.__init__
+
+        def counting(table, xs, tuples):
+            compiles.append(len(tuples))
+            compile_table(table, xs, tuples)
+
+        monkeypatch.setattr(TableConstraint, "__init__", counting)
+        doc = data_instance(instance)
+        first, second = (
+            [p for p in build(doc, RunConfig()).model.propagators if isinstance(p, TableConstraint)]
+            for _ in range(2)
+        )
+        assert len(compiles) == 2  # one per model
+        for posted in (first, second):
+            assert len(posted) == tables
+            assert len({tuple(t.xs) for t in posted}) == tables
+            head = posted[0]
+            assert all(
+                t.masks is head.masks and t._allowed is head._allowed and t.tuples is head.tuples
+                for t in posted
+            )
+        # a model built after another shares nothing with it
+        a, b = first[0], second[0]
+        assert a.masks is not b.masks and a._allowed is not b._allowed
+        assert a.tuples is not b.tuples
+        assert {id(m) for m in a.masks}.isdisjoint(id(m) for m in b.masks)
+
+
 class TestRackModel:
     def test_zero_demand_all_dummy(self):
         doc = {
@@ -499,6 +535,29 @@ class TestCli:
         parsed = RunRecord.from_json(out[1])
         assert parsed.status == "solved"
         assert RunRecord.from_json(stats.read_text().strip()) == parsed
+
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_unopenable_stats_file_exit_two_before_the_search(
+        self, where, tmp_path, capsys, monkeypatch
+    ):
+        """A ``--stats-json`` path that cannot be opened for append is refused
+        before the run, not with a traceback after the whole search."""
+        stats = tmp_path if where == "directory" else tmp_path / "missing" / "stats.jsonl"
+        runs = []
+        monkeypatch.setattr("msetcp.cli.run", lambda *args: runs.append(args))
+        code = main(
+            [
+                "--problem", "sport",
+                "--instance", data_path("sport_n5.json"),
+                "--stats-json", str(stats),
+            ]
+        )
+        assert code == 2
+        assert runs == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert str(stats) in captured.err
 
     def test_schema_error_exit_two_no_stdout(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -752,6 +752,76 @@ class TestTable:
             entailed += status is Status.ENTAILED
         assert 20 < entailed < 300
 
+    def test_on_checks_the_arity(self):
+        store = Store()
+        xs = [store.new_var({1, 2}) for _ in range(3)]
+        table = TableConstraint(xs[:2], [(1, 2)])
+        with pytest.raises(ValueError):
+            table.on(xs)
+        shared = table.on(xs[1:])
+        assert shared.xs == xs[1:] and table.xs == xs[:2]
+        assert shared.masks is table.masks
+
+    def test_shared_tables_propagate_like_independent_ones(self):
+        """Tables made with ``on`` over overlapping scopes give the same
+        domains and the same failures as tables compiled one by one, at the
+        root and down random dives."""
+        import random
+
+        rng = random.Random(18)
+        failed = 0
+        for _ in range(150):
+            arity = rng.randint(1, 3)
+            n = rng.randint(arity, 6)
+            doms = [rng.sample(range(4), rng.randint(1, 4)) for _ in range(n)]
+            tuples = sorted(
+                {tuple(rng.randrange(4) for _ in range(arity)) for _ in range(rng.randint(0, 10))}
+            )
+            scopes = [rng.sample(range(n), arity) for _ in range(rng.randint(1, 4))]
+            solvers = []
+            for shared in (True, False):
+                m = Model()
+                xs = [m.new_var(d) for d in doms]
+                relation = TableConstraint([xs[i] for i in scopes[0]], tuples)
+                for scope in scopes:
+                    vs = [xs[i] for i in scope]
+                    m.post(relation.on(vs) if shared else TableConstraint(vs, tuples))
+                solvers.append(Solver(m))
+            assert len({id(p.masks) for p in solvers[0].props}) == 1
+
+            def step(act):
+                """``act`` then the fixpoint on both sides: same outcome."""
+                outcomes = []
+                for solver in solvers:
+                    try:
+                        act(solver.store)
+                        solver.fixpoint()
+                        outcomes.append([solver.store.values(v) for v in range(n)])
+                    except Inconsistent:
+                        solver.store.discard_events()
+                        outcomes.append(None)
+                assert outcomes[0] == outcomes[1], (doms, tuples, scopes)
+                return outcomes[0]
+
+            if step(lambda store: None) is None:
+                failed += 1
+                continue
+            for _ in range(3):  # dives from the root, undone after each
+                for solver in solvers:
+                    solver.store.push()
+                while True:
+                    open_vars = [v for v in range(n) if len(solvers[0].store.values(v)) > 1]
+                    if not open_vars:
+                        break
+                    v = rng.choice(open_vars)
+                    val = rng.choice(solvers[0].store.values(v))
+                    if step(lambda store: store.assign(v, val)) is None:
+                        failed += 1
+                        break
+                for solver in solvers:
+                    solver.store.pop()
+        assert failed > 20
+
 
 def linear_bounds_fixpoint(coeffs, doms, relation, const):
     """Reference: apply the textbook bounds rules of ``sum(c*x) <= k`` (and,

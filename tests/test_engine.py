@@ -519,24 +519,29 @@ def budgeted(branching, solver, budget):
     return Branching(branching.order, value_order)
 
 
-# (choice_points, fails) after a search stopped at 3,000 choice points: runs
-# too long to solve in a test, whose tree prefix still pins the model.
+# (choice_points, fails) after a search stopped at its first number of choice
+# points: runs too long to solve in a test, whose tree prefix still pins the
+# model.  The source is a shipped instance's name or an instance document.
 BUDGETED_TREES = [
     ("party_1", "none", "algorithm", (3000, 1957)),
     ("party_1", "mset", "algorithm", (3000, 2208)),
     ("party_2", "mset", "gcc", (3000, 2203)),
     ("party_3", "mset-rows", "sort", (3000, 2049)),
+    ({"problem": "sport", "teams": 9}, "none", "algorithm", (2000, 1313)),
+    ({"problem": "sport", "teams": 9}, "lex", "algorithm", (2000, 1298)),
+    ({"problem": "sport", "teams": 11}, "lex", "algorithm", (2000, 1465)),
 ]
 
 
 def test_budgeted_search_trees_pinned():
     got, expected = [], []
-    for name, symmetry, encoding, fingerprint in BUDGETED_TREES:
-        source = str(resources.files("msetcp").joinpath(f"data/{name}.json"))
+    for source, symmetry, encoding, fingerprint in BUDGETED_TREES:
+        if isinstance(source, str):
+            source = str(resources.files("msetcp").joinpath(f"data/{source}.json"))
         built = build(load_instance(source), RunConfig(symmetry=symmetry, encoding=encoding))
         solver = Solver(built.model)
         with pytest.raises(BudgetReached):
-            solver.solve(budgeted(built.branching, solver, 3000))
+            solver.solve(budgeted(built.branching, solver, fingerprint[0]))
         got.append((solver.stats.choice_points, solver.stats.fails))
         expected.append(fingerprint)
     assert got == expected

@@ -15,10 +15,33 @@ def test_new_var_sorts_and_dedups():
     assert s.min(v) == 1 and s.max(v) == 3
 
 
+def test_new_var_from_a_range_matches_its_sorted_set():
+    for r in (range(3), range(-2, 9, 3), range(5, 0, -2), range(4, 4), range(1, 2)):
+        s = Store()
+        if not r:
+            with pytest.raises(ValueError):
+                s.new_var(r)
+            continue
+        assert s.values(s.new_var(r)) == tuple(sorted(set(r)))
+
+
 def test_empty_domain_rejected():
     s = Store()
     with pytest.raises(ValueError):
         s.new_var([])
+
+
+@pytest.mark.parametrize(
+    "values, bad",
+    [([0.5, 1.5], "0.5"), ([True, 2], "True"), ([1, True], "True"), ([3, "4"], "'4'")],
+)
+def test_non_int_values_rejected_by_name(values, bad):
+    """A float would later index a filter's tables and a bool would be
+    stored as a domain value, so both are refused where they enter."""
+    s = Store()
+    with pytest.raises(TypeError, match=bad):
+        s.new_var(values)
+    assert s.num_vars() == 0
 
 
 def test_set_max_and_min_trim_bounds():
