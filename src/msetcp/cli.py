@@ -2,9 +2,9 @@
 
 Prints a human-readable line plus the machine-readable JSON record to stdout;
 ``--stats-json PATH`` additionally appends the JSON record to a file, which is
-opened before anything runs.  Exit codes: 0 on solved/unsat, 1 on timeout, 2
-on schema or configuration errors and when the ``--stats-json`` file cannot be
-opened.
+opened once the instance and options are checked and before the run.  Exit
+codes: 0 on solved/unsat, 1 on timeout, 2 on schema or configuration errors
+and when the ``--stats-json`` file cannot be opened.
 """
 
 from __future__ import annotations
@@ -66,19 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    # opened first, so a path that cannot take the record costs no search
-    try:
-        sink = open(args.stats_json, "a") if args.stats_json else nullcontext()
-    except OSError as exc:
-        print(f"error: cannot open --stats-json file: {exc}", file=sys.stderr)
-        return 2
-    with sink as stats:
-        return _bench(args, stats)
-
-
-def _bench(args: argparse.Namespace, stats: Optional[TextIO]) -> int:
-    """The run ``args`` asks for: print its record, append it to ``stats``
-    when given, and return the exit code."""
     try:
         instance = load_instance(args.instance)
         if instance["problem"] != _PROBLEM_ALIASES[args.problem]:
@@ -93,6 +80,24 @@ def _bench(args: argparse.Namespace, stats: Optional[TextIO]) -> int:
             labelling=args.labelling,
             timeout=args.timeout,
         )
+    except SchemaError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    # opened after the checks above, so a refused instance leaves no file, and
+    # before the run, so a path that cannot take the record costs no search
+    try:
+        sink = open(args.stats_json, "a") if args.stats_json else nullcontext()
+    except OSError as exc:
+        print(f"error: cannot open --stats-json file: {exc}", file=sys.stderr)
+        return 2
+    with sink as stats:
+        return _bench(cfg, instance, stats)
+
+
+def _bench(cfg: RunConfig, instance: dict, stats: Optional[TextIO]) -> int:
+    """Run ``cfg`` on ``instance``: print its record, append it to ``stats``
+    when given, and return the exit code."""
+    try:
         record = run(cfg, instance)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

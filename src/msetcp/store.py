@@ -64,12 +64,10 @@ class Store:
         """A new variable over ``values``; a value that is not an int (a bool,
         a float, any subclass of int) is a ``TypeError``."""
         vals = tuple(values)  # checked before deduplication, which lets 1 hide True
-        # a forward range holds ascending distinct ints already
-        if type(values) is not range or values.step < 0:
-            if set(map(type, vals)) - {int}:
-                bad = next(v for v in vals if type(v) is not int)
-                raise TypeError(f"domain value {bad!r} is not an int")
-            vals = tuple(sorted(set(vals)))
+        if set(map(type, vals)) - {int}:
+            bad = next(v for v in vals if type(v) is not int)
+            raise TypeError(f"domain value {bad!r} is not an int")
+        vals = tuple(sorted(set(vals)))
         if not vals:
             raise ValueError("variable created with empty domain")
         self._values.append(vals)

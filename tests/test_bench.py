@@ -566,6 +566,19 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().out == ""
 
+    def test_instance_schema_error_leaves_no_stats_file(self, tmp_path, capsys):
+        """The stats file is opened only once the instance is accepted."""
+        stats = tmp_path / "stats.jsonl"
+        code = main(
+            [
+                "--problem", "rack",
+                "--instance", data_path("sport_n5.json"),
+                "--stats-json", str(stats),
+            ]
+        )
+        assert code == 2
+        assert not stats.exists()
+
     def test_non_integer_capacity_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "party.json"
         bad.write_text(
