@@ -1,10 +1,12 @@
 """Constraint network and search: fixpoint loop, DFS labelling, branch and bound.
 
 Propagators subscribe to variable events through an int mask; the fixpoint
-loop is a FIFO queue with per-propagator deduplication, fed the store's raw
-events (one per shrink; the queued flag drops repeated wakes).  It starts by
-draining the events still pending, so a search decision is just a store
-mutation followed by :meth:`Solver.fixpoint`.  A propagator that is not
+loop is a FIFO queue with per-propagator deduplication.  The solver registers
+the subscriptions on the model's store and hands it the queue, so every
+shrink queues its subscribers itself, in the order the events are raised and
+each variable's subscribers in post order (the queued flag drops repeated
+wakes).  A search decision is therefore just a store mutation, which queues
+what it wakes, followed by :meth:`Solver.fixpoint`.  A propagator that is not
 declared idempotent is re-queued by the events its own pruning raises, so a
 filter subscribed to all of them need not loop to its own fixpoint: one pass
 per call suffices.  An idempotent propagator (one call always leaves it at
@@ -153,20 +155,22 @@ class Solver:
         self.store = model.store
         self.props = list(model.propagators)
         n = len(self.props)
-        self._subs: dict[int, list[tuple[int, int]]] = {}
+        by_var: dict[int, list[tuple[int, int]]] = {}
         self._idempotent: list[bool] = []
         for idx, prop in enumerate(self.props):
             subs = list(prop.subscriptions())
             for var, mask in subs:
-                self._subs.setdefault(var, []).append((idx, mask))
+                by_var.setdefault(var, []).append((idx, mask))
             # a declared idempotence holds only over distinct variables
             self._idempotent.append(prop.idempotent and len(dict(subs)) == len(subs))
         self._active = [True] * n
         self._posted = [False] * n
         self._queue: deque[int] = deque(range(n))
         self._queued = [True] * n
+        self.store.dispatch_to(by_var, self._active, self._queued, self._queue.append)
         self.stats = SearchStats()
         self._deadline: Optional[float] = None
+        self._root_failed = False
 
     # -- propagation ---------------------------------------------------------
 
@@ -178,33 +182,21 @@ class Solver:
 
         self.store.trail_undo(undo)
 
-    def _wake_for(self, raw_events: Iterable[tuple[int, int]]) -> None:
-        subs, active, queued = self._subs, self._active, self._queued
-        enqueue = self._queue.append
-        for var, kinds in raw_events:
-            for idx, mask in subs.get(var, ()):
-                if mask & kinds and active[idx] and not queued[idx]:
-                    queued[idx] = True
-                    enqueue(idx)
-
     def fixpoint(self) -> None:
         """Run queued propagators until no propagator changes any domain.
 
-        The events pending when it starts (a search decision's) wake their
-        subscribers first.  An idempotent propagator stays marked as queued
-        while the events of its own call are dispatched, so they do not wake
-        it again."""
+        A search decision made before it starts has already queued the
+        propagators it wakes.  An idempotent propagator stays marked as
+        queued during its own call, so the events it raises do not wake it
+        again.  A failure while the store holds no checkpoint is final:
+        nothing can undo its partial pruning, so :meth:`propagate_root`
+        reports failure from then on."""
         store = self.store
         queue = self._queue
         popleft = queue.popleft
         props, active, posted = self.props, self._active, self._posted
         queued, idempotent = self._queued, self._idempotent
-        drain = store.drain_events
-        wake = self._wake_for
         entailed = Status.ENTAILED
-        events = drain()
-        if events:
-            wake(events)
         try:
             while queue:
                 idx = popleft()
@@ -222,9 +214,6 @@ class Solver:
                     status = prop.post(store)
                 if status is entailed:
                     self._deactivate(idx)
-                events = drain()
-                if events:
-                    wake(events)
                 if idem:
                     queued[idx] = False
         except Inconsistent:
@@ -232,11 +221,16 @@ class Solver:
                 queued[i] = False
             queue.clear()
             queued[idx] = False
-            store.discard_events()
+            if not store.depth():
+                self._root_failed = True
             raise
 
     def propagate_root(self) -> bool:
-        """Initial propagation; False when the model fails at the root."""
+        """Initial propagation; False when the model fails at the root, and
+        on every call after a failure at the root (counted once, when it
+        happened), so a failed model is never searched."""
+        if self._root_failed:
+            return False
         try:
             self.fixpoint()
         except Inconsistent:

@@ -7,17 +7,22 @@ min/max transition, in both directions (shrink and restore), which lets
 propagators keep derived state such as occurrence vectors in sync with the
 domains at all times.  Modification events are plain int bit masks (the
 :class:`EventKind` constants), so building, merging and testing them costs
-one int operation each.  Pending events are drained either raw, one pair per
-shrink in the order raised (:meth:`Store.drain_events`, the only drain the
-engine's fixpoint loop uses), or coalesced per variable
-(:meth:`Store.take_raw_events`, built on the raw drain, for callers that
-inspect what changed).
+one int operation each.
+
+Each shrink raises one event, and where it goes depends on who owns the
+store.  Once a solver has handed the store its propagation queue
+(:meth:`Store.dispatch_to`), the shrink itself queues every subscriber of the
+variable whose kind mask meets the event: there is nothing to drain.  A store
+that no solver owns records the event instead, to be drained raw, one pair
+per shrink in the order raised (:meth:`Store.drain_events`), or coalesced per
+variable (:meth:`Store.take_raw_events`), by callers that inspect what
+changed.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 
 class Inconsistent(Exception):
@@ -45,11 +50,16 @@ _UNDO = -1  # trail tag for generic undo closures
 class Store:
     """Variable store: domains, trail, checkpoints, events, watchers.
 
-    Every shrink appends one (var, kind-mask) event; :meth:`drain_events`
-    hands them over raw and :meth:`take_raw_events` coalesced per variable.
+    Every shrink raises one (var, kind-mask) event.  On a store that a solver
+    owns it queues the variable's subscribers at once; otherwise it is
+    recorded, and :meth:`drain_events` hands the records over raw and
+    :meth:`take_raw_events` coalesced per variable.
     """
 
-    __slots__ = ("_values", "_trail", "_marks", "_watchers", "_events")
+    __slots__ = (
+        "_values", "_trail", "_marks", "_watchers", "_subs", "_events",
+        "_active", "_queued", "_enqueue",
+    )
 
     def __init__(self) -> None:
         self._values: list[tuple[int, ...]] = []
@@ -57,6 +67,12 @@ class Store:
         self._marks: list[int] = []
         self._watchers: list[list[BoundWatcher]] = []
         self._events: list[tuple[int, int]] = []
+        # the owning solver's subscriptions and queue state; the flags are
+        # None while no solver owns the store
+        self._subs: dict[int, list[tuple[int, int]]] = {}
+        self._active: Optional[list[bool]] = None
+        self._queued: Optional[list[bool]] = None
+        self._enqueue: Optional[Callable[[int], None]] = None
 
     # -- variables ---------------------------------------------------------
 
@@ -114,7 +130,15 @@ class Store:
             kinds |= 4  # MAX_CHANGED
         if len(new_vals) == 1 and len(old) > 1:
             kinds |= 8  # INSTANTIATED
-        self._events.append((var, kinds))
+        queued = self._queued
+        if queued is None:
+            self._events.append((var, kinds))
+        else:
+            active = self._active
+            for idx, mask in self._subs.get(var, ()):
+                if mask & kinds and active[idx] and not queued[idx]:
+                    queued[idx] = True
+                    self._enqueue(idx)
         if kinds & 6:  # BOUNDS
             for cb in self._watchers[var]:
                 cb(var, old[0], old[-1], new_vals[0], new_vals[-1])
@@ -204,11 +228,26 @@ class Store:
     def watch_bounds(self, var: int, cb: BoundWatcher) -> None:
         self._watchers[var].append(cb)
 
+    def dispatch_to(
+        self,
+        subs: dict[int, list[tuple[int, int]]],
+        active: list[bool],
+        queued: list[bool],
+        enqueue: Callable[[int], None],
+    ) -> None:
+        """Hand the store a solver's queue.  From now on a shrink of ``var``
+        records no event: it calls ``enqueue(idx)`` for each ``(idx, mask)``
+        of ``subs[var]``, in order, whose mask meets the event's kinds and
+        that ``active`` marks live and ``queued`` idle, and sets its
+        ``queued`` flag.  Events still pending are dropped, since a new
+        queue holds every propagator anyway."""
+        self._events.clear()
+        self._subs, self._active, self._queued, self._enqueue = subs, active, queued, enqueue
+
     def drain_events(self) -> Sequence[tuple[int, int]]:
         """Drain pending (var, kind-mask) pairs as raised: one per shrink, in
         order, a variable repeated when it shrank more than once.  An empty
-        tuple when nothing is pending, so the common empty drain allocates
-        nothing."""
+        tuple when nothing is pending, as always on a store a solver owns."""
         events = self._events
         if not events:
             return ()

@@ -3,6 +3,7 @@
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from importlib import resources
@@ -11,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import msetcp
+from msetcp import oracle
 from msetcp.bench import (
+    ENCODINGS,
     RunConfig,
     RunRecord,
     SchemaError,
@@ -22,6 +25,7 @@ from msetcp.bench import (
 )
 from msetcp.cli import main
 from msetcp.constraints import TableConstraint
+from msetcp.engine import Solver
 from msetcp.order import mset_cmp, Ordering
 
 
@@ -299,6 +303,37 @@ class TestSharedTables:
         assert a.masks is not b.masks and a._allowed is not b._allowed
         assert a.tuples is not b.tuples
         assert {id(m) for m in a.masks}.isdisjoint(id(m) for m in b.masks)
+
+
+class TestSportByes:
+    """For odd n a week column holds n - 1 distinct teams out of n, so its
+    multiset is "every team but the bye": ``{{A}} <m {{B}}`` holds exactly
+    when bye(A) > bye(B), and the strict chain over the n weeks forces the
+    byes n, ..., 1."""
+
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    @pytest.mark.parametrize("instance", ["sport_n5.json", "sport_n7.json"])
+    def test_first_solution_has_byes_n_down_to_one(self, instance, encoding):
+        doc = data_instance(instance)
+        built = build(doc, RunConfig(symmetry="mset", encoding=encoding))
+        sol, _ = Solver(built.model).solve(built.branching)
+        n, T, periods = doc["teams"], built.meta["T"], built.meta["periods"]
+        byes = []
+        for w in range(n):
+            column = {sol[T[j][w][s]] for j in range(periods) for s in range(2)}
+            assert len(column) == n - 1
+            (bye,) = set(range(1, n + 1)) - column
+            byes.append(bye)
+        assert byes == list(range(n, 0, -1))
+
+    def test_mset_less_is_the_reversed_bye_order(self):
+        rng = random.Random(9)
+        for _ in range(1000):
+            n = rng.choice([3, 5, 7, 9])
+            teams = range(1, n + 1)
+            a, b = (tuple(rng.sample(teams, n - 1)) for _ in range(2))
+            bye_a, bye_b = (sum(teams) - sum(column) for column in (a, b))
+            assert oracle.mset_less(a, b) == (bye_a > bye_b), (a, b)
 
 
 class TestRackModel:

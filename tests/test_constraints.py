@@ -343,9 +343,12 @@ def test_counting_fixpoint_is_stable(encoding):
             post_mset_ordering(m, xs, ys, strict, RunConfig(encoding=encoding))
             if not propagate_to_fixpoint(m):
                 continue
+            # the solver's store records no events, so compare the domains
+            doms = [m.store.values(v) for v in range(m.store.num_vars())]
             for prop in m.propagators:
                 prop.propagate(m.store)
-                assert m.store.take_raw_events() == [], (type(prop).__name__, xd, yd, strict)
+                after = [m.store.values(v) for v in range(m.store.num_vars())]
+                assert after == doms, (type(prop).__name__, xd, yd, strict)
             stable += 1
     assert stable > 200
 
@@ -798,7 +801,6 @@ class TestTable:
                         solver.fixpoint()
                         outcomes.append([solver.store.values(v) for v in range(n)])
                     except Inconsistent:
-                        solver.store.discard_events()
                         outcomes.append(None)
                 assert outcomes[0] == outcomes[1], (doms, tuples, scopes)
                 return outcomes[0]

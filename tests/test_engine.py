@@ -1,13 +1,24 @@
 """Fixpoint engine and search: queue semantics, stats, soundness, determinism."""
 
+import random
 import time
+from collections import deque
+from functools import partial
 from importlib import resources
 
 import pytest
 
 from msetcp import oracle
 from msetcp.bench import RunConfig, build, load_instance, run
-from msetcp.constraints import AllDifferent, LessThan, LinearSum, sum_eq
+from msetcp.constraints import (
+    AllDifferent,
+    Cardinality,
+    Conditional,
+    LessThan,
+    LinearSum,
+    TableConstraint,
+    sum_eq,
+)
 from msetcp.engine import (
     Branching,
     Model,
@@ -110,6 +121,23 @@ class TestFixpoint:
         assert m.store.values(x) == (0, 1, 2, 3)
         assert not m.store.drain_events()
 
+    def test_second_solver_over_one_model_refused(self):
+        """A second Solver would post the filter again on the shared store,
+        so each bound change would reach its vectors twice."""
+        m = Model()
+        xs = [m.new_var(range(3)) for _ in range(3)]
+        ys = [m.new_var(range(3)) for _ in range(3)]
+        prop = MultisetOrdering(xs, ys)
+        m.post(prop)
+        assert Solver(m).propagate_root()
+        with pytest.raises(ValueError, match="already has a Solver"):
+            Solver(m)
+        with pytest.raises(ValueError, match="already has a Solver"):
+            propagate_to_fixpoint(m)
+        m.store.set_min(xs[0], 1)
+        assert prop.xmin_counts == [2, 1, 0]
+        assert prop.rebuilt_counts(m.store) == (prop.xmin_counts, prop.ymax_counts)
+
 
 class EvenCap(Propagator):
     """Spy: caps ``x`` at its largest even value, so each of its calls may
@@ -132,23 +160,6 @@ class EvenCap(Propagator):
 
     def check(self, values):
         return values[self.x] % 2 == 0
-
-    def test_second_solver_over_one_model_refused(self):
-        """A second Solver would post the filter again on the shared store,
-        so each bound change would reach its vectors twice."""
-        m = Model()
-        xs = [m.new_var(range(3)) for _ in range(3)]
-        ys = [m.new_var(range(3)) for _ in range(3)]
-        prop = MultisetOrdering(xs, ys)
-        m.post(prop)
-        assert Solver(m).propagate_root()
-        with pytest.raises(ValueError, match="already has a Solver"):
-            Solver(m)
-        with pytest.raises(ValueError, match="already has a Solver"):
-            propagate_to_fixpoint(m)
-        m.store.set_min(xs[0], 1)
-        assert prop.xmin_counts == [2, 1, 0]
-        assert prop.rebuilt_counts(m.store) == (prop.xmin_counts, prop.ymax_counts)
 
 
 class TestOwnEvents:
@@ -205,7 +216,6 @@ class TestOwnEvents:
         m.store.push()
         m.store.assign(a, 3)
         m.store.set_max(b, 2)  # two decisions at once: a < b cannot hold
-        s._wake_for(m.store.take_raw_events())
         assert len(s._queue) > 1  # LessThan fails first, the others wait
         with pytest.raises(Inconsistent):
             s.fixpoint()
@@ -217,6 +227,236 @@ class TestOwnEvents:
         m.store.assign(b, 2)
         s.fixpoint()
         assert m.store.values(a) == (0, 1)
+
+
+class ReferenceEngine:
+    """The engine's former dispatch, kept as a reference: it runs over a
+    store that no solver owns, so each shrink is recorded as an event, and
+    after every propagator call it drains the events and wakes the
+    subscribers it finds in a dict.  Queue discipline, idempotence and
+    entailment are the solver's."""
+
+    def __init__(self, model):
+        self.store = model.store
+        self.props = list(model.propagators)
+        n = len(self.props)
+        self.subs = {}
+        self.idempotent = []
+        for idx, prop in enumerate(self.props):
+            subs = list(prop.subscriptions())
+            for var, mask in subs:
+                self.subs.setdefault(var, []).append((idx, mask))
+            self.idempotent.append(prop.idempotent and len(dict(subs)) == len(subs))
+        self.active = [True] * n
+        self.posted = [False] * n
+        self.queue = deque(range(n))
+        self.queued = [True] * n
+
+    def wake(self, events):
+        for var, kinds in events:
+            for idx, mask in self.subs.get(var, ()):
+                if mask & kinds and self.active[idx] and not self.queued[idx]:
+                    self.queued[idx] = True
+                    self.queue.append(idx)
+
+    def fixpoint(self):
+        store, active, queued = self.store, self.active, self.queued
+        self.wake(store.drain_events())
+        try:
+            while self.queue:
+                idx = self.queue.popleft()
+                if not active[idx]:
+                    queued[idx] = False
+                    continue
+                idem = self.idempotent[idx]
+                if not idem:
+                    queued[idx] = False
+                prop = self.props[idx]
+                if self.posted[idx]:
+                    status = prop.propagate(store)
+                else:
+                    self.posted[idx] = True
+                    status = prop.post(store)
+                if status is Status.ENTAILED:
+                    active[idx] = False
+                    store.trail_undo(partial(active.__setitem__, idx, True))
+                self.wake(store.drain_events())
+                if idem:
+                    queued[idx] = False
+        except Inconsistent:
+            for i in self.queue:
+                queued[i] = False
+            self.queue.clear()
+            queued[idx] = False
+            store.discard_events()
+            raise
+
+
+def random_model(seed):
+    """A small model mixing the engine's subscription masks, and the log its
+    propagators append (call, index) pairs to, one per ``post`` or
+    ``propagate`` call (a default ``post`` logs its ``propagate`` too)."""
+    rng = random.Random(seed)
+    m = Model()
+    xs = [m.new_var(rng.sample(range(5), rng.randint(2, 5))) for _ in range(rng.randint(5, 8))]
+
+    def pick(k):
+        return rng.sample(xs, k)
+
+    for _ in range(rng.randint(3, 7)):
+        kind = rng.choice(
+            ["less", "sum<=", "sum==", "alldiff", "table", "card", "cond", "mset"]
+        )
+        if kind == "less":
+            m.post(LessThan(*pick(2)))
+        elif kind.startswith("sum"):
+            k = rng.randint(2, 3)
+            coeffs = [rng.choice([-2, -1, 1, 2]) for _ in range(k)]
+            m.post(LinearSum(coeffs, pick(k), kind[3:], rng.randint(-2, 6)))
+        elif kind == "alldiff":
+            m.post(AllDifferent(pick(rng.randint(2, 3))))
+        elif kind == "table":
+            tuples = {(rng.randrange(5), rng.randrange(5)) for _ in range(rng.randint(3, 12))}
+            m.post(TableConstraint(pick(2), sorted(tuples)))
+        elif kind == "card":
+            scope = pick(rng.randint(2, 3))
+            occ = [m.new_var(range(len(scope) + 1)) for _ in range(5)]
+            m.post(Cardinality(scope, [4, 3, 2, 1, 0], occ))
+        elif kind == "cond":
+            g1, g2, a, b = pick(4)
+            m.post(Conditional(g1, g2, LessThan(a, b)))
+        else:
+            vs = pick(4)
+            m.post(MultisetOrdering(vs[:2], vs[2:], strict=rng.random() < 0.5))
+    log = []
+    for idx, prop in enumerate(m.propagators):
+        for name in ("post", "propagate"):
+            method = getattr(prop, name)
+
+            def logged(store, method=method, key=(name, idx)):
+                log.append(key)
+                return method(store)
+
+            setattr(prop, name, logged)
+    return m, log
+
+
+class TestDispatch:
+    def test_inline_wakes_run_the_reference_call_sequence(self):
+        """On random models the solver, whose store queues subscribers as it
+        shrinks, runs exactly the propagator calls the drain-then-wake
+        reference runs, at the root and over random dives."""
+        failed = compared = 0
+        for seed in range(300):
+            (m, log), (ref_m, ref_log) = random_model(seed), random_model(seed)
+            solver, ref = Solver(m), ReferenceEngine(ref_m)
+            stores = m.store, ref_m.store
+
+            def outcome(engine):
+                try:
+                    engine.fixpoint()
+                    return True
+                except Inconsistent:
+                    return False
+
+            def same_state():
+                assert log == ref_log, seed
+                assert domains(m) == domains(ref_m), seed
+
+            ok = outcome(solver)
+            assert ok == outcome(ref)
+            same_state()
+            if not ok:
+                failed += 1
+                continue
+            rng = random.Random(seed)
+            for _ in range(4):  # dives from the root, undone after each
+                for _ in range(rng.randint(1, 4)):
+                    free = [v for v in range(m.store.num_vars()) if not m.store.is_fixed(v)]
+                    if not free:
+                        break
+                    var = rng.choice(free)
+                    val = rng.choice(m.store.values(var))
+                    act = rng.choice(["assign", "set_min", "set_max", "remove"])
+                    for store in stores:
+                        store.push()
+                        getattr(store, act)(var, val)
+                    ok = outcome(solver)
+                    assert ok == outcome(ref)
+                    same_state()
+                    compared += 1
+                    if not ok:
+                        failed += 1
+                        break
+                while m.store.depth():
+                    for store in stores:
+                        store.pop()
+                assert domains(m) == domains(ref_m)
+        assert failed > 60 and compared > 1200, (failed, compared)
+
+    def test_decision_queues_its_subscribers(self):
+        """A shrink on a solver's store queues the subscribers whose mask it
+        meets at once, so there is no event left to drain."""
+        m = Model()
+        x = m.new_var(range(10))
+        y = m.new_var(range(10))
+        m.post(AllDifferent([x, y]))  # wakes on instantiation only
+        m.post(LessThan(x, y))  # wakes on bounds
+        s = Solver(m)
+        assert s.propagate_root()
+        assert not s._queue
+        m.store.push()
+        m.store.set_max(y, 4)
+        assert list(s._queue) == [1] and s._queued == [False, True]
+        assert not m.store.drain_events()
+        s.fixpoint()
+        assert m.store.values(x) == (0, 1, 2, 3)
+        assert not s._queue and not any(s._queued)
+
+    def test_variable_made_after_the_solver_can_shrink(self):
+        m = Model()
+        x = m.new_var(range(3))
+        y = m.new_var(range(3))
+        m.post(LessThan(x, y))
+        s = Solver(m)
+        late = m.new_var(range(5))
+        assert s.propagate_root()
+        m.store.push()
+        assert m.store.set_max(late, 2)
+        s.fixpoint()
+        assert m.store.values(late) == (0, 1, 2)
+        m.store.pop()
+        assert m.store.values(late) == (0, 1, 2, 3, 4)
+
+
+class TestRootFailure:
+    """A failure at the root leaves partial pruning that no checkpoint can
+    undo, so the solver keeps reporting it."""
+
+    def test_failed_root_stays_failed(self):
+        m = Model()
+        x, y, z = (m.new_var(range(3)) for _ in range(3))
+        m.post(LessThan(x, y))
+        m.post(LessThan(y, z))
+        m.post(LinearSum([1], [z], "<=", 1))
+        s = Solver(m)
+        assert not s.propagate_root()
+        assert not s.propagate_root()  # although the failure emptied the queue
+        sol, stats = s.solve(Branching([x, y, z]))
+        assert sol is None
+        assert stats.choice_points == 0 and stats.fails == 1
+
+    def test_second_solve_opens_no_choice_point(self):
+        m = Model()
+        a = m.new_var(range(3))
+        b = m.new_var(range(3))
+        m.post(LessThan(a, b))
+        m.post(LessThan(b, a))
+        s = Solver(m)
+        for _ in range(2):
+            sol, stats = s.solve(Branching([a, b]))
+            assert sol is None
+            assert stats.choice_points == 0 and stats.fails == 1
 
 
 class TestSolveFirst:

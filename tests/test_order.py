@@ -1,16 +1,57 @@
 """Ground-vector comparisons, occurrence vectors, and value normalization."""
 
+from dataclasses import dataclass
 from itertools import product
+from typing import Iterable
 
 import pytest
 from hypothesis import given, strategies as st
 
 from msetcp.mset import _rank_map
-from msetcp.oracle import OccVector, occ_of
 from msetcp.order import Ordering, lex_cmp, mset_cmp, sort_desc
 from msetcp.store import Store
 
 short_vec = st.lists(st.integers(0, 5), min_size=0, max_size=6)
+
+
+@dataclass(frozen=True)
+class OccVector:
+    """Occurrence counts over ``[lo, hi]``, most significant (``hi``) first.
+
+    ``counts[hi - v]`` is the number of occurrences of value ``v``; leading
+    and trailing zeros are kept so that two vectors built over the same range
+    are comparable position by position, and compare lexicographically the
+    way the underlying multisets compare.  A ground reference for the
+    filters' incrementally kept counts.
+    """
+
+    counts: tuple[int, ...]
+    hi: int
+    lo: int
+
+    def __post_init__(self) -> None:
+        if self.hi < self.lo:
+            raise ValueError("occurrence range is empty")
+        if len(self.counts) != self.hi - self.lo + 1:
+            raise ValueError("count vector does not match range")
+
+    def count_of(self, value: int) -> int:
+        return self.counts[self.hi - value]
+
+    def cmp(self, other: "OccVector") -> Ordering:
+        if (self.hi, self.lo) != (other.hi, other.lo):
+            raise ValueError("occurrence vectors over different ranges")
+        return lex_cmp(self.counts, other.counts)
+
+
+def occ_of(vec: Iterable[int], hi: int, lo: int) -> OccVector:
+    """Occurrence vector of ``vec`` over the value range ``[lo, hi]``."""
+    counts = [0] * (hi - lo + 1)
+    for v in vec:
+        if not lo <= v <= hi:
+            raise ValueError(f"value {v} outside [{lo}, {hi}]")
+        counts[hi - v] += 1
+    return OccVector(tuple(counts), hi, lo)
 
 
 class TestLexCmp:
