@@ -118,7 +118,7 @@ def _tally(store: Store, variables: Sequence[int]) -> tuple[list, dict[int, int]
     fixed to it and how many unfixed ones still hold it.  Only counts are
     kept; :func:`_settle` finds the holders of a value in the snapshot when it
     needs them."""
-    doms = list(map(store.values, variables))
+    doms = store.domains(variables)
     fixed: dict[int, int] = {}
     free: dict[int, int] = {}
     for dom in doms:
@@ -172,8 +172,8 @@ class Cardinality(Propagator):
     per call: the engine re-runs it on its own events (it is not idempotent,
     since a forced or forbidden value changes the counts of other values).
     One call reads each variable's domain once (:func:`_tally`) and each
-    ``occ`` domain once, and calls ``set_min``/``set_max`` on an ``occ`` only
-    when that moves its bound.
+    ``occ`` domain once, calls ``set_min``/``set_max`` on an ``occ`` only
+    when that moves its bound, and :func:`_settle` only when a rule fires.
     """
 
     def __init__(self, xs: Sequence[int], values: Sequence[int], occ: Sequence[int]) -> None:
@@ -192,9 +192,9 @@ class Cardinality(Propagator):
             yield v, EventKind.BOUNDS
 
     def post(self, store: Store) -> Status:
-        allowed = set(self.vals)
-        for x in self.xs:
-            store.retain(x, allowed)
+        allowed = set(self.vals).__contains__
+        for x, dom in zip(self.xs, store.domains(self.xs)):
+            store.retain(x, dom, tuple(filter(allowed, dom)))
         return self.propagate(store)
 
     def propagate(self, store: Store) -> Status:
@@ -211,7 +211,8 @@ class Cardinality(Propagator):
             if count[-1] > most:
                 store.set_max(o, most)
                 count = domain(o)
-            _settle(store, val, least, most - least, count[0], count[-1], xs, doms)
+            if most > least and (count[0] == most or count[-1] == least):
+                _settle(store, val, least, most - least, count[0], count[-1], xs, doms)
         return Status.ACTIVE
 
     def check(self, values: Sequence[int]) -> bool:
@@ -332,11 +333,11 @@ class AllDifferent(Propagator):
     """Instantiation-triggered all-different (weaker than matching-based GAC).
 
     The values of the fixed variables are removed from every other domain,
-    cascading within one call, so a call is idempotent.  A call reads each
-    domain once: the fixed values go in a set (a repeated one is a failure),
-    an unfixed variable is narrowed by one ``retain`` only when its domain
-    meets that set, and the next round looks only for the values that this
-    narrowing fixed.  Unfixed variables are never pruned against each other.
+    cascading within one call, so a call is idempotent.  A call reads every
+    domain at once: the fixed values go in a set (a repeated one is a
+    failure), and one ``retain`` narrows an unfixed variable that meets it to
+    the rest of the domain read.  The next round looks only for the values
+    this fixed; unfixed variables are never pruned against each other.
     """
 
     idempotent = True
@@ -352,7 +353,7 @@ class AllDifferent(Propagator):
         domain = store.values
         fresh: set[int] = set()  # values fixed since the last narrowing
         unfixed = []
-        for x, dom in zip(self.xs, map(domain, self.xs)):
+        for x, dom in zip(self.xs, store.domains(self.xs)):
             if len(dom) > 1:
                 unfixed.append((x, dom))
             elif dom[0] in fresh:
@@ -366,7 +367,7 @@ class AllDifferent(Propagator):
                 if fresh.isdisjoint(dom):
                     rest.append((x, dom))
                     continue
-                store.retain(x, set(dom).difference(fresh))
+                store.retain(x, dom, tuple([v for v in dom if v not in fresh]))
                 dom = domain(x)
                 if len(dom) > 1:
                     rest.append((x, dom))
@@ -442,7 +443,7 @@ class TableConstraint(Propagator):
             yield v, EventKind.ANY
 
     def propagate(self, store: Store) -> Status:
-        doms = [store.values(x) for x in self.xs]
+        doms = store.domains(self.xs)
         live = self._all
         for dom, masks in zip(doms, self.masks):
             support = 0
@@ -454,7 +455,7 @@ class TableConstraint(Propagator):
         for x, dom, masks in zip(self.xs, doms, self.masks):
             for v in dom:
                 if not masks.get(v, 0) & live:
-                    store.retain(x, {w for w in dom if masks.get(w, 0) & live})
+                    store.retain(x, dom, tuple([w for w in dom if masks.get(w, 0) & live]))
                     break
         if not live & (live - 1):
             return Status.ENTAILED
@@ -507,7 +508,7 @@ class LinearSum(Propagator):
 
     def propagate(self, store: Store) -> Status:
         k = self.constant
-        terms = list(zip(self.coeffs, self.xs, map(store.values, self.xs)))
+        terms = list(zip(self.coeffs, self.xs, store.domains(self.xs)))
         lo = hi = 0
         for c, _, dom in terms:
             if c > 0:
@@ -592,7 +593,7 @@ class HostCapacity(Propagator):
             raise ValueError(f"host variables must range over 0..{top}")
 
     def propagate(self, store: Store) -> Status:
-        doms = list(map(store.values, self.hs))
+        doms = store.domains(self.hs)
         room = list(self.spare)
         for dom, c in zip(doms, self.crew):
             if len(dom) == 1:
@@ -601,7 +602,7 @@ class HostCapacity(Propagator):
             raise Inconsistent("host capacity exceeded")
         for x, dom, c in zip(self.hs, doms, self.crew):
             if len(dom) > 1 and any(room[k] < c for k in dom):
-                store.retain(x, {k for k in dom if room[k] >= c})
+                store.retain(x, dom, tuple([k for k in dom if room[k] >= c]))
         return Status.ACTIVE
 
     def check(self, values: Sequence[int]) -> bool:
@@ -674,11 +675,12 @@ class ReifiedEquals(Propagator):
         x, y, b = self.x, self.y, self.b
         if store.is_fixed(b):
             if store.min(b) == 1:
-                common = set(store.values(x)) & set(store.values(y))
+                dx, dy = store.values(x), store.values(y)
+                common = tuple(filter(set(dy).__contains__, dx))
                 if not common:
                     raise Inconsistent("reified equality: forced equal but disjoint")
-                store.retain(x, common)
-                store.retain(y, common)
+                store.retain(x, dx, common)
+                store.retain(y, dy, common)
                 if store.is_fixed(x) and store.is_fixed(y):
                     return Status.ENTAILED
             else:

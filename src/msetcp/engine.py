@@ -150,7 +150,6 @@ class Solver:
         # count every bound change twice
         if model._taken:
             raise ValueError("this Model already has a Solver; build a new Model for another one")
-        model._taken = True
         self.model = model
         self.store = model.store
         self.props = list(model.propagators)
@@ -163,6 +162,12 @@ class Solver:
                 by_var.setdefault(var, []).append((idx, mask))
             # a declared idempotence holds only over distinct variables
             self._idempotent.append(prop.idempotent and len(dict(subs)) == len(subs))
+        # an unheld variable is never woken, and -1 would read the last one
+        for var, subs in by_var.items():
+            if var not in range(self.store.num_vars()):
+                name = type(self.props[subs[0][0]]).__name__
+                raise ValueError(f"{name} subscribes to variable {var}, which the store lacks")
+        model._taken = True
         self._active = [True] * n
         self._posted = [False] * n
         self._queue: deque[int] = deque(range(n))

@@ -26,15 +26,15 @@ the size of the value range.
 (:func:`_runs`) on every call and keeps nothing.
 
 The two dedicated filters (:class:`DedicatedFilter`) set up in ``attach`` from
-one snapshot of the domains, a single ``store.values`` read per variable
-(:func:`_domains`): the rank map, every count vector, the sorted vector and
+one snapshot of the domains, a single :meth:`~msetcp.store.Store.domains`
+call per side: the rank map, every count vector, the sorted vector and
 the :class:`MaxIndex` of each side all derive from it, and the from-scratch
 rebuilds go through the same builders.  Bound watchers then keep that state
-in step with the domains, across backtracking too.  Every sorted vector they
-keep is a :class:`SortedBlocks`, so one bound change moves one value in one
-block of at most ``BLOCK_SIZE`` values (two, when it leaves its block),
-whatever the vector length; a vector that fits in one block, as every shipped
-model's does, is a single sorted list.
+in step with the domains, across backtracking too, from one registration per
+side.  Every sorted vector they keep is a :class:`SortedBlocks`, so one bound
+change moves one value in one block of at most ``BLOCK_SIZE`` values (two,
+when it leaves its block), whatever the vector length; a vector that fits in
+one block, as every shipped model's does, is a single sorted list.
 """
 
 from __future__ import annotations
@@ -73,12 +73,6 @@ class Flags:
     first_gt: float
     flat_between: bool
     tail_wrong: bool
-
-
-def _domains(store: Store, variables: Iterable[int]) -> list[tuple[int, ...]]:
-    """One read of every domain of ``variables``: the snapshot that set-up
-    derives everything from."""
-    return list(map(store.values, variables))
 
 
 def _rank_map(domains: Iterable[Sequence[int]]) -> tuple[dict[int, int], list[int]]:
@@ -124,9 +118,7 @@ def _runs(sx: Sequence[int], sy: Sequence[int]) -> Iterator[tuple[int, int, int]
         yield v, cx, j - top
 
 
-def _summary(
-    runs: Iterable[tuple[int, int, int]], strict: bool, complete: bool = False
-) -> tuple[Flags, int, int, int, int]:
+def _summary(runs: Iterable[tuple[int, int, int]], strict: bool) -> tuple[Flags, int, int, int, int]:
     """The pointer/flag scan over the floor counts of X and ceiling counts of Y.
 
     ``runs`` gives ``(value, X count, Y count)`` from the largest value down;
@@ -134,11 +126,11 @@ def _summary(
     lex comparison.  Returns the flags in value space and the X and Y counts
     at ``first_lt`` and at ``first_gt`` (zero at NO_INDEX).  Raises
     Inconsistent exactly when the constraint is disentailed: the X counts
-    compare lex-greater (weak) or lex-greater-or-equal (strict).  Unless
-    ``complete``, it reads only what :func:`_prune` uses: past ``first_lt``
-    only if ``x_at_lt + 1 == y_at_lt``, below ``first_gt`` only if also flat
-    between and ``x_at_gt == y_at_gt + 1``; skipped fields read as if
-    ``first_gt`` were absent.
+    compare lex-greater (weak) or lex-greater-or-equal (strict).  It reads
+    only what :func:`_prune` uses: past ``first_lt`` only if
+    ``x_at_lt + 1 == y_at_lt``, below ``first_gt`` only if also flat between
+    and ``x_at_gt == y_at_gt + 1``; skipped fields read as if ``first_gt``
+    were absent.
     """
     runs = iter(runs)
     for lt, x_at_lt, y_at_lt in runs:
@@ -150,7 +142,7 @@ def _summary(
         return Flags(NO_INDEX, NO_INDEX, False, False), 0, 0, 0, 0
     if x_at_lt > y_at_lt:
         raise Inconsistent("multiset ordering disentailed")
-    if not complete and x_at_lt + 1 != y_at_lt:  # never critical
+    if x_at_lt + 1 != y_at_lt:  # never critical
         return Flags(lt, NO_INDEX, False, False), x_at_lt, y_at_lt, 0, 0
     flat = True
     for gt, x_at_gt, y_at_gt in runs:
@@ -161,7 +153,7 @@ def _summary(
     else:
         return Flags(lt, NO_INDEX, False, False), x_at_lt, y_at_lt, 0, 0
     tail_wrong = False
-    if complete or (flat and x_at_gt == y_at_gt + 1):  # else past_gt holds anyway
+    if flat and x_at_gt == y_at_gt + 1:  # else past_gt holds anyway
         tail_wrong = strict
         for _, cx, cy in runs:
             if cx != cy:
@@ -409,7 +401,7 @@ class DedicatedFilter(MultisetPair):
 
     ``attach`` takes the snapshot, hands it to :meth:`_set_up` for the
     filter's own vectors, builds a :class:`MaxIndex` per side from it and
-    watches every variable once, X with ``_x_bounds_changed`` and Y with
+    watches each side in one call, X with ``_x_bounds_changed`` and Y with
     ``_y_bounds_changed``, which each filter defines.
     """
 
@@ -421,17 +413,11 @@ class DedicatedFilter(MultisetPair):
 
     def attach(self, store: Store) -> None:
         xs, ys = self.xs, self.ys
-        xdoms, ydoms = _domains(store, xs), _domains(store, ys)
+        xdoms, ydoms = store.domains(xs), store.domains(ys)
         self._set_up(xdoms, ydoms)
         self.xmax_index, self.ymax_index = MaxIndex(xs, xdoms), MaxIndex(ys, ydoms)
-        # one bound method per side, not one per variable
-        watch = store.watch_bounds
-        cb = self._x_bounds_changed
-        for x in xs:
-            watch(x, cb)
-        cb = self._y_bounds_changed
-        for y in ys:
-            watch(y, cb)
+        store.watch_bounds(xs, self._x_bounds_changed)
+        store.watch_bounds(ys, self._y_bounds_changed)
 
     def _set_up(self, xdoms: list[tuple[int, ...]], ydoms: list[tuple[int, ...]]) -> None:
         """Build the filter's own vectors from the snapshot."""
@@ -504,7 +490,7 @@ class MultisetOrdering(DedicatedFilter):
     def rebuilt_counts(self, store: Store) -> tuple[list[int], ...]:
         """Count vectors recomputed from scratch (reference for the
         incrementally maintained ones)."""
-        return self._counts(_domains(store, self.xs), _domains(store, self.ys))
+        return self._counts(store.domains(self.xs), store.domains(self.ys))
 
     def _counts(
         self, xdoms: list[tuple[int, ...]], ydoms: list[tuple[int, ...]]

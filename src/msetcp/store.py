@@ -9,6 +9,11 @@ domains at all times.  Modification events are plain int bit masks (the
 :class:`EventKind` constants), so building, merging and testing them costs
 one int operation each.
 
+A propagator reads a vector's domains in one call (:meth:`Store.domains`)
+and narrows a variable in one write (:meth:`Store.retain`) to ``kept``, the
+sorted sub-tuple it computed from the domain it read.  Only a stale read, as
+of a variable listed twice, is filtered again, against the current domain.
+
 Each shrink raises one event, and where it goes depends on who owns the
 store.  Once a solver has handed the store its propagation queue
 (:meth:`Store.dispatch_to`), the shrink itself queues every subscriber of the
@@ -50,6 +55,8 @@ _UNDO = -1  # trail tag for generic undo closures
 class Store:
     """Variable store: domains, trail, checkpoints, events, watchers.
 
+    Domains are read one or a vector at a time (:meth:`domains`) and narrowed
+    to a sub-tuple of the domain read (:meth:`retain`) or by bound or value.
     Every shrink raises one (var, kind-mask) event.  On a store that a solver
     owns it queues the variable's subscribers at once; otherwise it is
     recorded, and :meth:`drain_events` hands the records over raw and
@@ -95,6 +102,10 @@ class Store:
 
     def values(self, var: int) -> tuple[int, ...]:
         return self._values[var]
+
+    def domains(self, variables: Iterable[int]) -> list[tuple[int, ...]]:
+        """The domains of ``variables``, in order, from one call."""
+        return list(map(self._values.__getitem__, variables))
 
     def min(self, var: int) -> int:
         return self._values[var][0]
@@ -186,11 +197,15 @@ class Store:
         self._shrink(var, vals[:i] + vals[i + 1 :])
         return True
 
-    def retain(self, var: int, allowed) -> bool:
-        """Keep only the values present in ``allowed`` (a set-like)."""
+    def retain(self, var: int, dom: tuple[int, ...], kept: tuple[int, ...]) -> bool:
+        """Narrow ``var`` to ``kept``, a sorted sub-tuple of ``dom``, the domain
+        the caller read; if ``var`` has shrunk since that read (a variable
+        listed twice), keep what is left of ``kept`` in the current domain."""
         vals = self._values[var]
-        kept = tuple(filter(allowed.__contains__, vals))
-        if len(kept) == len(vals):
+        if vals is not dom:
+            kept = tuple(filter(set(vals).__contains__, kept))
+            dom = vals
+        if len(kept) == len(dom):
             return False
         if not kept:
             raise Inconsistent(f"retain({var}) wipes out the domain")
@@ -225,8 +240,10 @@ class Store:
 
     # -- events / watchers ---------------------------------------------------
 
-    def watch_bounds(self, var: int, cb: BoundWatcher) -> None:
-        self._watchers[var].append(cb)
+    def watch_bounds(self, variables: Iterable[int], cb: BoundWatcher) -> None:
+        """Call ``cb`` on every bound change of each of ``variables``."""
+        for var in variables:
+            self._watchers[var].append(cb)
 
     def dispatch_to(
         self,

@@ -511,6 +511,7 @@ def test_aliased_variables_reach_own_fixpoint(case):
             # a Model takes one Solver, so the flag is read from a fresh one
             # over the same propagator
             fresh = Model()
+            fresh.store = store
             fresh.post(prop)
             assert not Solver(fresh)._idempotent[0], (case, prop.__dict__)
             resumed += 1
@@ -728,9 +729,9 @@ class TestTable:
         retains = []
         real_retain = Store.retain
 
-        def spy(store, var, allowed):
+        def spy(store, var, dom, kept):
             before = store.values(var)
-            changed = real_retain(store, var, allowed)
+            changed = real_retain(store, var, dom, kept)
             retains.append((before, store.values(var)))
             return changed
 

@@ -138,6 +138,26 @@ class TestFixpoint:
         assert prop.xmin_counts == [2, 1, 0]
         assert prop.rebuilt_counts(m.store) == (prop.xmin_counts, prop.ymax_counts)
 
+    def test_subscription_to_a_negative_variable_refused(self):
+        """Python would read the last variable through index -1."""
+        m = Model()
+        x = m.new_var(range(3))
+        m.new_var(range(3))
+        m.post(LessThan(x, -1))
+        with pytest.raises(ValueError, match="LessThan subscribes to variable -1"):
+            Solver(m)
+
+    def test_subscription_past_the_last_variable_refused(self):
+        """Such a variable is never woken, so its constraint never filters."""
+        m = Model()
+        xs = [m.new_var(range(3)) for _ in range(2)]
+        m.post(AllDifferent(xs))
+        m.post(LessThan(xs[0], m.store.num_vars()))
+        with pytest.raises(ValueError, match="LessThan subscribes to variable 2"):
+            Solver(m)
+        m.propagators.pop()
+        assert Solver(m).propagate_root()  # a refused model is not taken
+
 
 class EvenCap(Propagator):
     """Spy: caps ``x`` at its largest even value, so each of its calls may

@@ -10,6 +10,7 @@ from msetcp import oracle
 from msetcp.mset import (
     BLOCK_SIZE,
     NO_INDEX,
+    Flags,
     MaxIndex,
     MultisetOrdering,
     SortedBlocks,
@@ -22,6 +23,32 @@ from msetcp.mset import (
     _summary,
 )
 from msetcp.store import Inconsistent, Store
+
+
+def complete_summary(runs, strict):
+    """What :func:`_summary` returns with every flag computed, read from the
+    whole run list: the first value whose counts differ is ``first_lt``, the
+    first value below it with more on the X side is ``first_gt``, and
+    ``tail_wrong`` compares the counts below ``first_gt``."""
+    runs = list(runs)
+    diff = [i for i, (_, cx, cy) in enumerate(runs) if cx != cy]
+    if not diff:
+        if strict:
+            raise Inconsistent("equal counts")
+        return Flags(NO_INDEX, NO_INDEX, False, False), 0, 0, 0, 0
+    i = diff[0]
+    lt, x_at_lt, y_at_lt = runs[i]
+    if x_at_lt > y_at_lt:
+        raise Inconsistent("X counts ahead")
+    ahead = [j for j in diff[1:] if runs[j][1] > runs[j][2]]
+    if not ahead:
+        return Flags(lt, NO_INDEX, False, False), x_at_lt, y_at_lt, 0, 0
+    j = ahead[0]
+    gt, x_at_gt, y_at_gt = runs[j]
+    flat = all(runs[k][1] == runs[k][2] for k in range(i + 1, j))
+    below = [(cx, cy) for _, cx, cy in runs[j + 1 :] if cx != cy]
+    tail_wrong = below[0][0] > below[0][1] if below else strict
+    return Flags(lt, gt, flat, tail_wrong), x_at_lt, y_at_lt, x_at_gt, y_at_gt
 
 
 def make(xdoms, ydoms):
@@ -173,8 +200,8 @@ class TestSortedVariant:
         s, xs, ys = make(xd, yd)
         p = SortedMultisetOrdering(xs, ys)
         p.post(s)
-        fl, x_at_lt, y_at_lt, x_at_gt, y_at_gt = _summary(
-            _block_runs(p.xmin, p.ymax_index), p.strict, complete=True
+        fl, x_at_lt, y_at_lt, x_at_gt, y_at_gt = complete_summary(
+            _block_runs(p.xmin, p.ymax_index), p.strict
         )
         assert (fl.first_lt, fl.first_gt) == (4, 2)
         assert fl.flat_between and not fl.tail_wrong
@@ -184,7 +211,7 @@ class TestSortedVariant:
         s, xs, ys = make([{1}, {2}], [{2}, {1}])
         p = SortedMultisetOrdering(xs, ys)
         p.post(s)
-        fl, *counts = _summary(_block_runs(p.xmin, p.ymax_index), p.strict, complete=True)
+        fl, *counts = complete_summary(_block_runs(p.xmin, p.ymax_index), p.strict)
         assert fl.first_lt is NO_INDEX and counts == [0, 0, 0, 0]
 
     def test_lex_greater_views_fail(self):
@@ -620,7 +647,7 @@ def _full_prune(s, xs, ys, strict):
     """The prune pass over the whole vectors, from the complete scan of
     freshly sorted bounds; returns that scan's summary."""
     sx, sy = _sorted_bounds(map(s.min, xs), map(s.max, ys))
-    summary = _summary(_runs(sx, sy), strict, complete=True)
+    summary = complete_summary(_runs(sx, sy), strict)
     _prune(s, xs, ys, *summary)
     return summary
 
@@ -726,6 +753,32 @@ class TestIndexedPrune:
         if not (fl.flat_between and x_at_gt == y_at_gt + 1):
             return "to first_gt"
         return "into the tail"
+
+    def test_summary_reads_what_the_prune_uses(self):
+        """The filters' scan agrees with the complete one on every field it
+        computes, and leaves the others as if ``first_gt`` were absent."""
+        rng = random.Random("summary-stages")
+        stages = set()
+        for _ in range(3000):
+            values = sorted(rng.sample(range(-6, 6), rng.randint(0, 8)), reverse=True)
+            runs = [(v, rng.randint(0, 2), rng.randint(0, 2)) for v in values]
+            strict = rng.random() < 0.5
+            try:
+                ref = complete_summary(runs, strict)
+            except Inconsistent:
+                with pytest.raises(Inconsistent):
+                    _summary(runs, strict)
+                continue
+            got = _summary(runs, strict)
+            stage = self._stage(ref)
+            stages.add(stage)
+            fl, x_at_lt, y_at_lt, x_at_gt, y_at_gt = ref
+            if stage == "to first_lt":
+                ref = Flags(fl.first_lt, NO_INDEX, False, False), x_at_lt, y_at_lt, 0, 0
+            elif stage == "to first_gt":
+                ref = (Flags(fl.first_lt, fl.first_gt, fl.flat_between, False),) + ref[1:]
+            assert got == ref, (runs, strict)
+        assert stages == {"to first_lt", "to first_gt", "into the tail"}
 
     @pytest.mark.parametrize("variant", ["occ", "occ-entail", "sorted", "stateless"])
     def test_candidates_prune_like_full_vectors(self, variant):

@@ -83,6 +83,11 @@ class CountingStore(Store):
         self.reads += 1
         return super().values(var)
 
+    def domains(self, variables):
+        doms = super().domains(variables)
+        self.reads += len(doms)  # one read per variable, as ``values`` counts
+        return doms
+
     def min(self, var):
         self.reads += 1
         return super().min(var)

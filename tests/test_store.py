@@ -165,7 +165,7 @@ def test_watchers_fire_on_shrink_and_restore():
     s = Store()
     v = s.new_var(range(5))
     log = []
-    s.watch_bounds(v, lambda var, omn, omx, nmn, nmx: log.append((omn, omx, nmn, nmx)))
+    s.watch_bounds([v], lambda var, omn, omx, nmn, nmx: log.append((omn, omx, nmn, nmx)))
     s.push()
     s.set_max(v, 2)
     assert log == [(0, 4, 0, 2)]
@@ -197,7 +197,67 @@ def test_assign_and_contains():
 def test_retain():
     s = Store()
     v = s.new_var(range(6))
-    assert s.retain(v, {1, 3, 9})
+    assert s.retain(v, s.values(v), (1, 3))
     assert s.values(v) == (1, 3)
     with pytest.raises(Inconsistent):
-        s.retain(v, {7})
+        s.retain(v, s.values(v), ())
+
+
+def test_domains_equal_per_variable_values():
+    s = Store()
+    vs = [s.new_var(range(i, 2 * i + 3)) for i in range(6)]
+    s.set_max(vs[2], 3)
+    s.remove(vs[4], 6)
+    picked = [vs[3], vs[0], vs[3], vs[5], vs[2], vs[4]]
+    assert s.domains(picked) == [s.values(v) for v in picked]
+    assert s.domains(iter(picked)) == [s.values(v) for v in picked]
+    assert s.domains([]) == []
+
+
+def test_retain_with_a_stale_read_keeps_what_is_left_of_kept():
+    """A variable listed twice is read once per listing, so the second
+    narrowing hands over ``kept`` computed from a domain that has shrunk."""
+    s = Store()
+    v = s.new_var(range(8))
+    stale = s.values(v)
+    assert s.retain(v, stale, (1, 2, 4, 6))
+    assert s.retain(v, stale, (0, 2, 3, 4, 7))  # 0, 3 and 7 are gone already
+    assert s.values(v) == (2, 4)
+    assert not s.retain(v, stale, (2, 4, 5))  # nothing of the domain left out
+    assert s.values(v) == (2, 4)
+    with pytest.raises(Inconsistent):
+        s.retain(v, stale, (0, 1, 3))
+
+
+def test_retain_keeping_everything_changes_and_trails_nothing():
+    s = Store()
+    v = s.new_var([1, 4, 6])
+    log = []
+    s.watch_bounds([v], lambda *args: log.append(args))
+    s.discard_events()
+    s.push()
+    dom = s.values(v)
+    assert not s.retain(v, dom, dom)
+    assert not s.retain(v, dom, tuple(dom))
+    assert s._trail == [] and s.take_raw_events() == [] and log == []
+    s.pop()
+    assert s.values(v) is dom
+
+
+def test_vector_watch_fires_once_per_variable_per_bound_change():
+    s = Store()
+    vs = [s.new_var(range(6)) for _ in range(4)]
+    other = s.new_var(range(6))
+    log = []
+    s.watch_bounds(vs, lambda var, omn, omx, nmn, nmx: log.append((var, omn, omx, nmn, nmx)))
+    s.push()
+    s.set_max(vs[0], 3)
+    s.set_min(vs[2], 2)
+    s.assign(vs[3], 4)  # both bounds in one change: one call
+    s.remove(vs[1], 3)  # interior: no call
+    s.set_max(other, 1)  # not watched
+    assert log == [(vs[0], 0, 5, 0, 3), (vs[2], 0, 5, 2, 5), (vs[3], 0, 5, 4, 4)]
+    del log[:]
+    s.pop()
+    # restored in reverse order of the shrinks, one call each
+    assert log == [(vs[3], 4, 4, 0, 5), (vs[2], 2, 5, 0, 5), (vs[0], 0, 3, 0, 5)]
