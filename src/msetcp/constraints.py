@@ -12,6 +12,9 @@ declaration only where no variable is listed twice, does not wake them on
 their own events.  The linear sums are bounds consistent from one read of
 the domains per call: a term is cut only when its span exceeds the slack, and
 a sum is entailed as soon as its worst case holds, fixed variables or not.
+Up to ``KERNEL_TERMS`` terms, a sum runs that loop unrolled in a kernel
+compiled once per sign pattern and relation, with its numbers bound as values
+and never written into the generated text; longer sums run the loop itself.
 The table constraint is GAC by support bitsets (one bit per allowed tuple,
 one AND per variable) and is entailed when exactly one allowed tuple is left;
 tables posted over one relation share its compiled supports.
@@ -25,6 +28,8 @@ would remove.
 
 from __future__ import annotations
 
+import functools
+import linecache
 from bisect import bisect_left, bisect_right
 from typing import Sequence
 
@@ -314,17 +319,19 @@ class ArithmeticMultiset(MultisetPair):
 
     def propagate(self, store: Store) -> Status:
         powers = self._powers
-        margin = 1 if self.strict else 0
-        lhs_min = sum(powers[store.min(x)] for x in self.xs)
-        rhs_max = sum(powers[store.max(y)] for y in self.ys)
-        if lhs_min + margin > rhs_max:
+        xdoms, ydoms = store.domains(self.xs), store.domains(self.ys)
+        lhs_min = sum(powers[d[0]] for d in xdoms)
+        room = sum(powers[d[-1]] for d in ydoms) - (1 if self.strict else 0) - lhs_min
+        if room < 0:
             raise Inconsistent("arithmetic multiset encoding disentailed")
-        for x in self.xs:
-            slack = rhs_max - margin - (lhs_min - powers[store.min(x)])
-            store.set_max(x, bisect_right(powers, slack) - 1)
-        for y in self.ys:
-            need = lhs_min + margin - (rhs_max - powers[store.max(y)])
-            if need > 0:
+        # powers rise strictly, so a cut is made exactly when it moves a bound
+        for x, d in zip(self.xs, xdoms):
+            slack = room + powers[d[0]]
+            if powers[d[-1]] > slack:
+                store.set_max(x, bisect_right(powers, slack) - 1)
+        for y, d in zip(self.ys, ydoms):
+            need = powers[d[-1]] - room
+            if need > 0 and powers[d[0]] < need:
                 store.set_min(y, bisect_left(powers, need))
         return Status.ACTIVE
 
@@ -465,6 +472,41 @@ class TableConstraint(Propagator):
         return tuple(values[x] for x in self.xs) in self._allowed
 
 
+KERNEL_TERMS = 16  # longest sum that runs a compiled kernel; compile time grows with length
+
+
+@functools.cache
+def _sum_kernel_factory(signs: tuple[bool, ...], relation: str):
+    """Compile ``LinearSum``'s straight-line body for one sign pattern (True
+    for ``c_i > 0``) and relation.  The returned factory takes ``|c_i|`` and
+    ``x_i`` per term, the variable tuple and the constant as arguments."""
+    eq, terms = relation == "==", list(enumerate(signs))
+    fail = "raise Inconsistent('linear sum infeasible')"
+    body = ["".join(f"d{i}, " for i, _ in terms) + "= store.domains(xs)", "lo = hi = 0"]
+    for i, pos in terms:  # lo takes each term's least value, hi its greatest
+        op, low, high = ("+=", "l", "h") if pos else ("-=", "h", "l")
+        body.append(f"l{i} = d{i}[0]; h{i} = d{i}[-1]")
+        body.append(f"lo {op} a{i} * {low}{i}; hi {op} a{i} * {high}{i}")
+    body += [f"if lo > k: {fail}", "above = k - lo"]
+    if eq:
+        body += [f"if hi < k: {fail}", "if lo == hi: return ENTAILED", "below = hi - k"]
+    else:
+        body.append("if hi <= k: return ENTAILED")
+    for i, pos in terms:  # the loop's cuts, in its order
+        cap, lift = f"set_max(x{i}, l{i} + ", f"set_min(x{i}, h{i} - "
+        up, down = (cap, lift) if pos else (lift, cap)
+        body += [f"s{i} = a{i} * (h{i} - l{i})", f"if s{i} > above: store.{up}above // a{i})"]
+        body += [f"if s{i} > below: store.{down}below // a{i})"] if eq else []
+    args = "".join(f"a{i}, x{i}, " for i, _ in terms)
+    src = f"def factory({args}xs, k):\n    def kernel(store):\n"
+    src += "".join(f"        {line}\n" for line in body + ["return ACTIVE"]) + "    return kernel\n"
+    name = f"<LinearSum kernel {''.join('+' if pos else '-' for pos in signs)} {relation}>"
+    linecache.cache[name] = (len(src), None, src.splitlines(True), name)  # shown in tracebacks
+    scope = {"Inconsistent": Inconsistent, "ENTAILED": Status.ENTAILED, "ACTIVE": Status.ACTIVE}
+    exec(compile(src, name, "exec"), scope)
+    return scope["factory"]
+
+
 class LinearSum(Propagator):
     """Bounds consistency on ``sum(c_i * x_i) <= k`` or ``== k``.
 
@@ -482,6 +524,15 @@ class LinearSum(Propagator):
     A ``<=`` sum is idempotent: its cuts never move ``lo``, so after one call
     every span fits the room and a second call cuts nothing.  An ``==`` sum
     is not, as its lower-side cuts raise ``lo``.
+
+    A sum of 1 to ``KERNEL_TERMS`` terms runs a kernel with the loop of
+    :meth:`_loop` unrolled, one statement per term, making the same store
+    calls in the same order.  Its text is compiled once per (sign pattern,
+    relation) per process, under a file name that names that shape; the
+    coefficients, variables and constant are bound as values, so no model
+    data enters the text given to ``exec``.  Longer sums, whose compile time
+    grows with length, and sums with no term left run :meth:`_loop`, which
+    is also the kernel's reference.
     """
 
     def __init__(
@@ -501,12 +552,21 @@ class LinearSum(Propagator):
         self.relation = relation
         self.constant = constant
         self.idempotent = relation == "<="
+        self._kernel = None
+        if 0 < len(pairs) <= KERNEL_TERMS:
+            signs = tuple(c > 0 for c in self.coeffs)
+            args = [v for c, x in pairs for v in (abs(c), x)]
+            self._kernel = _sum_kernel_factory(signs, relation)(*args, tuple(self.xs), constant)
 
     def subscriptions(self):
         for v in self.xs:
             yield v, EventKind.BOUNDS
 
     def propagate(self, store: Store) -> Status:
+        kernel = self._kernel
+        return self._loop(store) if kernel is None else kernel(store)
+
+    def _loop(self, store: Store) -> Status:
         k = self.constant
         terms = list(zip(self.coeffs, self.xs, store.domains(self.xs)))
         lo = hi = 0

@@ -301,10 +301,18 @@ class Solver:
         ends the search; with it, the search goes on until the last incumbent
         is proved optimal, unless ``first_only`` stops it at the first one.
         Raises :class:`SearchTimeout` when the time budget runs out, and
-        ValueError on a NaN budget, which never would.
+        ValueError, before any search, on a NaN budget, which never would, or
+        on a branching or objective variable that the store does not hold.
         """
         if timeout is not None and math.isnan(timeout):
             raise ValueError("timeout is NaN")
+        # an index past the store crashes, and -1 would replay as a trail tag
+        held = range(self.store.num_vars())
+        if minimize is not None and minimize not in held:
+            raise ValueError(f"minimize names variable {minimize!r}, which the store lacks")
+        for var in branching.order:
+            if var not in held:
+                raise ValueError(f"branching names variable {var!r}, which the store lacks")
         stats = self.stats
         order = self._full_order(branching)
         if minimize is not None and minimize not in order:

@@ -5,6 +5,7 @@ import pytest
 from msetcp import oracle
 from msetcp.bench import RunConfig, post_mset_ordering
 from msetcp.constraints import (
+    KERNEL_TERMS,
     AllDifferent,
     ArithmeticMultiset,
     Cardinality,
@@ -34,6 +35,25 @@ def fixpoint(model):
 
 def project(domains, var_ids):
     return None if domains is None else [domains[v] for v in var_ids]
+
+
+class CutRecordingStore(Store):
+    """Records every bound cut a propagator asks for, and whether it moved
+    the bound; a cut that fails raises before it is recorded."""
+
+    def __init__(self):
+        super().__init__()
+        self.cuts = []
+
+    def set_max(self, var, bound):
+        changed = super().set_max(var, bound)
+        self.cuts.append(("max", var, bound, changed))
+        return changed
+
+    def set_min(self, var, bound):
+        changed = super().set_min(var, bound)
+        self.cuts.append(("min", var, bound, changed))
+        return changed
 
 
 # -- decomposition builders ----------------------------------------------------
@@ -576,6 +596,24 @@ class TestArithmeticMultiset:
             assert got == exp, (xd, yd)
         assert shapes > 100
 
+    def test_cuts_only_what_moves_a_bound(self):
+        """Every ``set_max``/``set_min`` it makes moves a bound (or fails),
+        over the acceptance suite's random corpus and both strictnesses."""
+        cuts = 0
+        for xd, yd in oracle.random_instances(
+            10_000, seed=20260809, max_len=5, max_values=5, max_domain_size=3
+        ):
+            for strict in (False, True):
+                m = Model()
+                m.store = CutRecordingStore()
+                xs = [m.new_var(d) for d in xd]
+                ys = [m.new_var(d) for d in yd]
+                m.post(ArithmeticMultiset(xs, ys, base=max(2, len(xs)), strict=strict))
+                fixpoint(m)
+                assert all(changed for *_, changed in m.store.cuts), (xd, yd, strict)
+                cuts += len(m.store.cuts)
+        assert cuts > 1000
+
 
 class TestAllDifferent:
     def test_instantiation_triggers_removal(self):
@@ -904,21 +942,6 @@ class TestLinearSum:
         import itertools
         import random
 
-        class CutRecordingStore(Store):
-            def __init__(self):
-                super().__init__()
-                self.cuts = []
-
-            def set_max(self, var, bound):
-                changed = super().set_max(var, bound)
-                self.cuts.append(("max", var, bound, changed))
-                return changed
-
-            def set_min(self, var, bound):
-                changed = super().set_min(var, bound)
-                self.cuts.append(("min", var, bound, changed))
-                return changed
-
         rng = random.Random(41)
         for _ in range(300):
             n = rng.randint(1, 4)
@@ -949,6 +972,75 @@ class TestLinearSum:
             assert doms == expected, case
             for xv in solutions:
                 assert all(v in doms[x] for v, x in zip(xv, xs)), (case, xv)
+
+    def test_kernel_matches_the_reference_loop(self):
+        """The compiled kernel gives the loop's status or failure, domains and
+        bound cuts, call for call, as domains shrink; sums of no term or of
+        more than ``KERNEL_TERMS`` terms run the loop on both sides."""
+        import random
+
+        class Recording(AliasingStore, CutRecordingStore):
+            pass
+
+        def run(call, store):
+            try:
+                outcome = call(store)
+            except Inconsistent:
+                outcome = "fail"
+            return outcome, store.domains(range(store.num_vars())), store.cuts
+
+        rng = random.Random(2203)
+        kernels = compared = 0
+        for _ in range(600):
+            n = rng.randint(0, KERNEL_TERMS + 3)
+            coeffs = [rng.choice([0, 1, -1]) * rng.randint(1, 75) for _ in range(n)]
+            doms = [rng.sample(range(-6, 10), rng.randint(1, 8)) for _ in range(n)]
+            relation = rng.choice(["<=", "=="])
+            seed = rng.random()
+            stores = [Recording(random.Random(seed)) for _ in range(2)]
+            sums = []
+            for store in stores:
+                xs = [store.new_var(d) for d in doms]
+                lo = sum(min(c * store.min(x), c * store.max(x)) for c, x in zip(coeffs, xs))
+                hi = sum(max(c * store.min(x), c * store.max(x)) for c, x in zip(coeffs, xs))
+                k = random.Random(seed).randint(lo - 3, hi + 3)
+                sums.append(LinearSum(coeffs, xs, relation, k))
+            fast, ref = sums
+            assert (fast._kernel is not None) == (0 < len(fast.xs) <= KERNEL_TERMS)
+            kernels += fast._kernel is not None
+            for _ in range(12):
+                got = run(fast.propagate, stores[0])
+                assert got == run(ref._loop, stores[1]), (coeffs, doms, relation, fast.constant)
+                compared += 1
+                if got[0] != Status.ACTIVE:
+                    break
+                open_vars = [x for x in fast.xs if not stores[0].is_fixed(x)]
+                if not open_vars:
+                    break
+                x = rng.choice(open_vars)
+                cut = rng.choice(stores[0].values(x)[1:])  # keeps some value
+                raise_min = rng.random() < 0.5
+                for store in stores:
+                    store.set_min(x, cut) if raise_min else store.set_max(x, cut - 1)
+        assert kernels > 300 and compared > 1500
+
+    def test_one_compiled_factory_per_shape(self):
+        """Sums of one sign pattern and relation share one compiled kernel
+        body; their data is bound as values and never enters its text."""
+        import linecache
+
+        store = Store()
+        v = [store.new_var(range(4)) for _ in range(6)]
+        a = LinearSum([2, 3, -1], v[:3], "<=", 987_654)
+        b = LinearSum([7, 1, -75], v[3:], "<=", 5)
+        c = LinearSum([7, 1, -75], v[3:], "==", 5)
+        d = LinearSum([7, -1, -75], v[3:], "<=", 5)
+        code = a._kernel.__code__
+        assert b._kernel.__code__ is code
+        assert c._kernel.__code__ is not code and d._kernel.__code__ is not code
+        assert code.co_filename == "<LinearSum kernel ++- <=>"
+        text = "".join(linecache.getlines(code.co_filename))
+        assert "kernel" in text and "987654" not in text and "75" not in text
 
     def test_entailed_once_the_worst_case_holds(self):
         store = Store()

@@ -158,6 +158,44 @@ class TestFixpoint:
         m.propagators.pop()
         assert Solver(m).propagate_root()  # a refused model is not taken
 
+    @staticmethod
+    def _two_var_solver():
+        m = Model()
+        xs = [m.new_var(range(3)) for _ in range(2)]
+        m.post(LessThan(*xs))
+        return Solver(m), xs
+
+    def test_branching_past_the_last_variable_refused(self):
+        """It used to raise IndexError from inside the search."""
+        s, _ = self._two_var_solver()
+        with pytest.raises(ValueError, match="branching names variable 5"):
+            s.solve(Branching([5]))
+        assert s.stats.choice_points == 0
+
+    def test_objective_past_the_last_variable_refused(self):
+        """It used to raise IndexError from inside the search."""
+        s, xs = self._two_var_solver()
+        with pytest.raises(ValueError, match="minimize names variable 7"):
+            s.solve(Branching(xs), minimize=7)
+        assert s.stats.choice_points == 0
+
+    def test_negative_branching_variable_refused(self):
+        """-1 is the trail's undo tag, so its shrink was replayed as an undo
+        closure by ``Store.pop`` (TypeError: 'tuple' object is not callable)."""
+        s, _ = self._two_var_solver()
+        with pytest.raises(ValueError, match="branching names variable -1"):
+            s.solve(Branching([-1]))
+        assert s.stats.choice_points == 0
+
+    def test_negative_objective_refused(self):
+        """Python's negative indexing used to minimise the last variable."""
+        s, xs = self._two_var_solver()
+        with pytest.raises(ValueError, match="minimize names variable -1"):
+            s.solve(Branching(xs), minimize=-1)
+        assert s.stats.choice_points == 0
+        sol, _ = s.solve(Branching(xs), minimize=xs[1])  # the solver is still usable
+        assert sol == [0, 1]
+
 
 class EvenCap(Propagator):
     """Spy: caps ``x`` at its largest even value, so each of its calls may
