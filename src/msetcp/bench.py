@@ -561,8 +561,10 @@ def build_sport(instance: dict, cfg: RunConfig) -> BuiltModel:
 
 def build(instance: dict, cfg: RunConfig) -> BuiltModel:
     """The model of ``instance`` under ``cfg``.  Refuses an option that would
-    reach nothing in it: a labelling outside party, or entailment where no
-    :class:`MultisetOrdering`, the one filter that tracks it, is posted."""
+    reach nothing in it: a labelling outside party, an encoding other than the
+    default under a symmetry that posts no multiset ordering, or entailment
+    where no :class:`MultisetOrdering`, the one filter that tracks it, is
+    posted."""
     problem = instance["problem"]
     if problem != "progressive_party" and cfg.labelling != "row-wise":
         raise SchemaError(f"{problem} has one variable order; --labelling applies to party")
@@ -572,6 +574,12 @@ def build(instance: dict, cfg: RunConfig) -> BuiltModel:
         built = build_rack(instance, cfg)
     else:
         built = build_sport(instance, cfg)
+    # the builders have refused an unknown symmetry; the default encoding
+    # passes, as a config cannot tell it from a user's choice
+    if cfg.encoding != "algorithm" and cfg.symmetry in ("none", "lex"):
+        raise SchemaError(
+            f"symmetry {cfg.symmetry!r} posts no multiset ordering, so --encoding would do nothing"
+        )
     props = built.model.propagators
     if cfg.entailment and not any(isinstance(p, MultisetOrdering) for p in props):
         raise SchemaError("no posted filter tracks entailment, so --entailment would do nothing")
@@ -592,12 +600,7 @@ def run(cfg: RunConfig, instance: dict) -> RunRecord:
     objective = None
     solver = Solver(model)
     try:
-        sol, stats = solver.solve(
-            branching,
-            minimize=model.objective,
-            timeout=cfg.timeout,
-            first_only=not optimizing,
-        )
+        sol, stats = solver.solve(branching, minimize=model.objective, timeout=cfg.timeout)
         if sol is None:
             status = "unsat"
         elif optimizing:

@@ -14,20 +14,18 @@ and narrows a variable in one write (:meth:`Store.retain`) to ``kept``, the
 sorted sub-tuple it computed from the domain it read.  Only a stale read, as
 of a variable listed twice, is filtered again, against the current domain.
 
-Each shrink raises one event, and where it goes depends on who owns the
-store.  Once a solver has handed the store its propagation queue
-(:meth:`Store.dispatch_to`), the shrink itself queues every subscriber of the
-variable whose kind mask meets the event: there is nothing to drain.  A store
-that no solver owns records the event instead, to be drained raw, one pair
-per shrink in the order raised (:meth:`Store.drain_events`), or coalesced per
-variable (:meth:`Store.take_raw_events`), by callers that inspect what
-changed.
+Each shrink queues, at once, every subscriber of the variable whose kind
+mask meets the shrink's kinds, once a solver has handed the store its
+propagation queue (:meth:`Store.dispatch_to`); a store that no solver owns
+has no subscribers, so the shrink queues nothing.  The trail is the one
+record of what changed: :meth:`Store.take_raw_events` reads it to report
+each variable shrunk since the last take and not restored since by a pop.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 
 class Inconsistent(Exception):
@@ -57,14 +55,12 @@ class Store:
 
     Domains are read one or a vector at a time (:meth:`domains`) and narrowed
     to a sub-tuple of the domain read (:meth:`retain`) or by bound or value.
-    Every shrink raises one (var, kind-mask) event.  On a store that a solver
-    owns it queues the variable's subscribers at once; otherwise it is
-    recorded, and :meth:`drain_events` hands the records over raw and
-    :meth:`take_raw_events` coalesced per variable.
+    Every shrink queues the variable's subscribers whose mask meets its
+    kinds, and :meth:`take_raw_events` reads the trail for what changed.
     """
 
     __slots__ = (
-        "_values", "_trail", "_marks", "_watchers", "_subs", "_events",
+        "_values", "_trail", "_marks", "_watchers", "_taken", "_subs",
         "_active", "_queued", "_enqueue",
     )
 
@@ -73,9 +69,9 @@ class Store:
         self._trail: list[tuple] = []
         self._marks: list[int] = []
         self._watchers: list[list[BoundWatcher]] = []
-        self._events: list[tuple[int, int]] = []
-        # the owning solver's subscriptions and queue state; the flags are
-        # None while no solver owns the store
+        self._taken = 0  # trail position up to which take_raw_events has read
+        # the owning solver's subscriptions and queue state; while no solver
+        # owns the store there is no subscription, so no shrink reads the rest
         self._subs: dict[int, list[tuple[int, int]]] = {}
         self._active: Optional[list[bool]] = None
         self._queued: Optional[list[bool]] = None
@@ -141,15 +137,11 @@ class Store:
             kinds |= 4  # MAX_CHANGED
         if len(new_vals) == 1 and len(old) > 1:
             kinds |= 8  # INSTANTIATED
-        queued = self._queued
-        if queued is None:
-            self._events.append((var, kinds))
-        else:
-            active = self._active
-            for idx, mask in self._subs.get(var, ()):
-                if mask & kinds and active[idx] and not queued[idx]:
-                    queued[idx] = True
-                    self._enqueue(idx)
+        active, queued = self._active, self._queued
+        for idx, mask in self._subs.get(var, ()):
+            if mask & kinds and active[idx] and not queued[idx]:
+                queued[idx] = True
+                self._enqueue(idx)
         if kinds & 6:  # BOUNDS
             for cb in self._watchers[var]:
                 cb(var, old[0], old[-1], new_vals[0], new_vals[-1])
@@ -230,6 +222,8 @@ class Store:
             if cur[0] != payload[0] or cur[-1] != payload[-1]:
                 for cb in self._watchers[var]:
                     cb(var, cur[0], cur[-1], payload[0], payload[-1])
+        if self._taken > mark:
+            self._taken = mark
 
     def trail_undo(self, fn: Callable[[], None]) -> None:
         """Register a closure run when the current checkpoint is popped."""
@@ -253,30 +247,31 @@ class Store:
         enqueue: Callable[[int], None],
     ) -> None:
         """Hand the store a solver's queue.  From now on a shrink of ``var``
-        records no event: it calls ``enqueue(idx)`` for each ``(idx, mask)``
-        of ``subs[var]``, in order, whose mask meets the event's kinds and
-        that ``active`` marks live and ``queued`` idle, and sets its
-        ``queued`` flag.  Events still pending are dropped, since a new
-        queue holds every propagator anyway."""
-        self._events.clear()
+        calls ``enqueue(idx)`` for each ``(idx, mask)`` of ``subs[var]``, in
+        order, whose mask meets the shrink's kinds and that ``active`` marks
+        live and ``queued`` idle, and sets its ``queued`` flag."""
         self._subs, self._active, self._queued, self._enqueue = subs, active, queued, enqueue
 
-    def drain_events(self) -> Sequence[tuple[int, int]]:
-        """Drain pending (var, kind-mask) pairs as raised: one per shrink, in
-        order, a variable repeated when it shrank more than once.  An empty
-        tuple when nothing is pending, as always on a store a solver owns."""
-        events = self._events
-        if not events:
-            return ()
-        self._events = []
-        return events
-
     def take_raw_events(self) -> list[tuple[int, int]]:
-        """Drain pending (var, kind-mask) pairs, coalesced per variable."""
-        merged: dict[int, int] = {}
-        for var, kinds in self.drain_events():
-            merged[var] = merged.get(var, 0) | kinds
-        return list(merged.items())
-
-    def discard_events(self) -> None:
-        self._events.clear()
+        """One (var, kind-mask) pair per variable shrunk since the last take
+        and not restored since by a :meth:`pop`, in the order of the first
+        such shrink; the kinds compare the domain before that shrink with
+        the domain now."""
+        trail, values = self._trail, self._values
+        before: dict[int, tuple[int, ...]] = {}
+        for var, old in trail[self._taken :]:
+            if var != _UNDO and var not in before:
+                before[var] = old
+        self._taken = len(trail)
+        events = []
+        for var, old in before.items():
+            now = values[var]
+            kinds = 1  # DOMAIN_CHANGED: a trailed shrink not yet popped
+            if now[0] != old[0]:
+                kinds |= 2  # MIN_CHANGED
+            if now[-1] != old[-1]:
+                kinds |= 4  # MAX_CHANGED
+            if len(now) == 1 and len(old) > 1:
+                kinds |= 8  # INSTANTIATED
+            events.append((var, kinds))
+        return events

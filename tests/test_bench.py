@@ -706,6 +706,34 @@ class TestCli:
         assert captured.out == ""
         assert "entailment" in captured.err
 
+    @pytest.mark.parametrize(
+        "problem, instance, symmetry, encoding",
+        [
+            ("sport", "sport_n5.json", "none", "gcc"),
+            ("sport", "sport_n5.json", "lex", "arith"),
+            ("party", "party_toy.json", "none", "algorithm-sorted"),
+            ("party", "party_toy.json", "lex", "sort"),
+            ("rack", "rack_1.json", "none", "arith"),
+        ],
+    )
+    def test_encoding_without_a_multiset_ordering_exit_two(
+        self, problem, instance, symmetry, encoding, capsys
+    ):
+        """A symmetry that posts no multiset ordering leaves an encoding
+        nothing to do, so any but the default is refused."""
+        code = main(
+            [
+                "--problem", problem,
+                "--instance", data_path(instance),
+                "--symmetry", symmetry,
+                "--encoding", encoding,
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "encoding" in captured.err
+
     def test_party_alias_matches_instance(self, capsys):
         code = main(
             ["--problem", "party", "--instance", data_path("party_toy.json")]

@@ -553,7 +553,7 @@ class TestArithmeticMultiset:
         xs = [s.new_var({1}), s.new_var({0})]
         ys = [s.new_var({1}), s.new_var({1})]
         p = ArithmeticMultiset(xs, ys, base=2)
-        s.discard_events()
+        s.take_raw_events()
         p.post(s)
         assert s.take_raw_events() == []
 

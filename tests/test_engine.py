@@ -30,7 +30,7 @@ from msetcp.engine import (
 )
 from msetcp.mset import MultisetOrdering
 from msetcp.store import EventKind, Inconsistent
-
+from test_store import RecordingStore
 
 
 def domains(model):
@@ -119,7 +119,6 @@ class TestFixpoint:
         m.store.set_max(y, 4)
         s.fixpoint()
         assert m.store.values(x) == (0, 1, 2, 3)
-        assert not m.store.drain_events()
 
     def test_second_solver_over_one_model_refused(self):
         """A second Solver would post the filter again on the shared store,
@@ -289,9 +288,9 @@ class TestOwnEvents:
 
 class ReferenceEngine:
     """The engine's former dispatch, kept as a reference: it runs over a
-    store that no solver owns, so each shrink is recorded as an event, and
-    after every propagator call it drains the events and wakes the
-    subscribers it finds in a dict.  Queue discipline, idempotence and
+    :class:`RecordingStore` that no solver owns, and after every propagator
+    call it drains the recorded shrinks and wakes the subscribers it finds
+    in a dict.  Queue discipline, idempotence and
     entailment are the solver's."""
 
     def __init__(self, model):
@@ -319,7 +318,7 @@ class ReferenceEngine:
 
     def fixpoint(self):
         store, active, queued = self.store, self.active, self.queued
-        self.wake(store.drain_events())
+        self.wake(store.drain())
         try:
             while self.queue:
                 idx = self.queue.popleft()
@@ -338,7 +337,7 @@ class ReferenceEngine:
                 if status is Status.ENTAILED:
                     active[idx] = False
                     store.trail_undo(partial(active.__setitem__, idx, True))
-                self.wake(store.drain_events())
+                self.wake(store.drain())
                 if idem:
                     queued[idx] = False
         except Inconsistent:
@@ -346,16 +345,19 @@ class ReferenceEngine:
                 queued[i] = False
             self.queue.clear()
             queued[idx] = False
-            store.discard_events()
+            store.drain()
             raise
 
 
-def random_model(seed):
-    """A small model mixing the engine's subscription masks, and the log its
-    propagators append (call, index) pairs to, one per ``post`` or
-    ``propagate`` call (a default ``post`` logs its ``propagate`` too)."""
+def random_model(seed, store=None):
+    """A small model mixing the engine's subscription masks, over ``store``
+    when given, and the log its propagators append (call, index) pairs to,
+    one per ``post`` or ``propagate`` call (a default ``post`` logs its
+    ``propagate`` too)."""
     rng = random.Random(seed)
     m = Model()
+    if store is not None:
+        m.store = store
     xs = [m.new_var(rng.sample(range(5), rng.randint(2, 5))) for _ in range(rng.randint(5, 8))]
 
     def pick(k):
@@ -406,7 +408,7 @@ class TestDispatch:
         reference runs, at the root and over random dives."""
         failed = compared = 0
         for seed in range(300):
-            (m, log), (ref_m, ref_log) = random_model(seed), random_model(seed)
+            (m, log), (ref_m, ref_log) = random_model(seed), random_model(seed, RecordingStore())
             solver, ref = Solver(m), ReferenceEngine(ref_m)
             stores = m.store, ref_m.store
 
@@ -454,7 +456,7 @@ class TestDispatch:
 
     def test_decision_queues_its_subscribers(self):
         """A shrink on a solver's store queues the subscribers whose mask it
-        meets at once, so there is no event left to drain."""
+        meets at once, before the fixpoint runs."""
         m = Model()
         x = m.new_var(range(10))
         y = m.new_var(range(10))
@@ -466,10 +468,34 @@ class TestDispatch:
         m.store.push()
         m.store.set_max(y, 4)
         assert list(s._queue) == [1] and s._queued == [False, True]
-        assert not m.store.drain_events()
         s.fixpoint()
         assert m.store.values(x) == (0, 1, 2, 3)
         assert not s._queue and not any(s._queued)
+
+    def test_solver_store_reports_its_decisions(self):
+        """The trail reader works on a solver's store too: it reports the
+        root pruning, then a decision and what the fixpoint pruned after it,
+        and after the pop only what a later decision changes."""
+        m = Model()
+        x = m.new_var(range(10))
+        y = m.new_var(range(10))
+        m.post(LessThan(x, y))
+        s = Solver(m)
+        assert s.propagate_root()
+        bounds = EventKind.DOMAIN_CHANGED | EventKind.MAX_CHANGED
+        assert m.store.take_raw_events() == [
+            (x, bounds),
+            (y, EventKind.DOMAIN_CHANGED | EventKind.MIN_CHANGED),
+        ]
+        m.store.push()
+        m.store.set_max(y, 4)
+        s.fixpoint()
+        assert m.store.take_raw_events() == [(y, bounds), (x, bounds)]
+        m.store.pop()
+        m.store.push()
+        m.store.set_min(x, 7)
+        assert m.store.take_raw_events() == [(x, EventKind.DOMAIN_CHANGED | EventKind.MIN_CHANGED)]
+        m.store.pop()
 
     def test_variable_made_after_the_solver_can_shrink(self):
         m = Model()

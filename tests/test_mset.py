@@ -136,7 +136,7 @@ class TestPruningExamples:
     def test_ground_satisfying_pair_emits_no_events(self):
         s, xs, ys = make([{1}, {0}], [{1}, {1}])
         p = MultisetOrdering(xs, ys)
-        s.discard_events()
+        s.take_raw_events()
         p.post(s)
         assert s.take_raw_events() == []
 
@@ -392,7 +392,7 @@ class TestDifferentialProperties:
                 p.post(s)
             except Inconsistent:
                 continue
-            s.discard_events()
+            s.take_raw_events()
             p.propagate(s)
             assert s.take_raw_events() == []
 

@@ -45,7 +45,7 @@ def test_set_max_and_min_trim_bounds():
 def test_noop_bound_changes_emit_no_event():
     s = Store()
     v = s.new_var(range(5))
-    s.discard_events()
+    s.take_raw_events()
     assert not s.set_max(v, 10)
     assert not s.set_min(v, -2)
     assert s.take_raw_events() == []
@@ -101,24 +101,153 @@ def test_events_coalesce_per_round():
     ]
 
 
+D, MIN, MAX, INST = (
+    EventKind.DOMAIN_CHANGED,
+    EventKind.MIN_CHANGED,
+    EventKind.MAX_CHANGED,
+    EventKind.INSTANTIATED,
+)
+
+
+class RecordingStore(Store):
+    """A store that also records one (var, kind-mask) pair per shrink, in
+    the order raised, for tests that need every shrink rather than the
+    per-variable report of :meth:`Store.take_raw_events`."""
+
+    __slots__ = ("events",)
+
+    def __init__(self):
+        super().__init__()
+        self.events = []
+
+    def _shrink(self, var, new_vals):
+        old = self.values(var)
+        kinds = D
+        if new_vals[0] != old[0]:
+            kinds |= MIN
+        if new_vals[-1] != old[-1]:
+            kinds |= MAX
+        if len(new_vals) == 1 and len(old) > 1:
+            kinds |= INST
+        self.events.append((var, kinds))
+        super()._shrink(var, new_vals)
+
+    def drain(self):
+        events, self.events = self.events, []
+        return events
+
+
 def test_drain_events_raw_in_order():
-    s = Store()
+    """The recording store keeps each shrink, and the trail reader reports
+    the same changes merged per variable."""
+    s = RecordingStore()
     v = s.new_var(range(10))
     w = s.new_var(range(10))
-    s.take_raw_events()
-    assert not s.drain_events()
+    assert not s.drain()
     s.set_min(v, 2)
     s.assign(w, 5)
     s.set_max(v, 7)
-    D, MIN, MAX, INST = (
-        EventKind.DOMAIN_CHANGED,
-        EventKind.MIN_CHANGED,
-        EventKind.MAX_CHANGED,
-        EventKind.INSTANTIATED,
-    )
-    assert list(s.drain_events()) == [(v, D | MIN), (w, D | MIN | MAX | INST), (v, D | MAX)]
-    assert not s.drain_events()
+    assert s.drain() == [(v, D | MIN), (w, D | MIN | MAX | INST), (v, D | MAX)]
+    assert not s.drain()
+    assert s.take_raw_events() == [(v, D | MIN | MAX), (w, D | MIN | MAX | INST)]
     assert s.take_raw_events() == []
+
+
+def test_shrink_undone_by_pop_is_not_reported():
+    """Only the shrink the pop kept is reported, and a pop does not skip a
+    shrink made before its push that has not been taken yet."""
+    s = Store()
+    v = s.new_var(range(5))
+    w = s.new_var(range(5))
+    s.set_max(v, 3)
+    s.push()
+    s.set_min(w, 2)
+    s.pop()
+    assert s.take_raw_events() == [(v, D | MAX)]
+    s.push()
+    s.remove(w, 1)
+    s.pop()
+    assert s.take_raw_events() == []
+
+
+def test_shrunk_popped_and_shrunk_again_reports_against_restored_domain():
+    s = Store()
+    v = s.new_var(range(10))
+    s.push()
+    s.set_max(v, 5)
+    s.pop()
+    s.set_min(v, 3)
+    assert s.take_raw_events() == [(v, D | MIN)]
+    s.push()
+    s.set_min(v, 5)
+    assert s.take_raw_events() == [(v, D | MIN)]
+    s.pop()
+    s.set_max(v, 8)
+    assert s.take_raw_events() == [(v, D | MAX)]
+
+
+def test_shrinks_after_push_take_and_pop_are_all_reported():
+    s = Store()
+    v = s.new_var(range(6))
+    w = s.new_var(range(6))
+    s.push()
+    s.set_max(v, 4)
+    s.set_max(w, 4)
+    assert s.take_raw_events() == [(v, D | MAX), (w, D | MAX)]
+    s.pop()
+    s.set_min(v, 1)
+    s.set_max(w, 2)
+    assert s.take_raw_events() == [(v, D | MIN), (w, D | MAX)]
+
+
+def test_trail_undo_entries_are_not_reported():
+    s = Store()
+    v = s.new_var(range(4))
+    s.push()
+    s.trail_undo(lambda: None)
+    s.set_max(v, 2)
+    s.trail_undo(lambda: None)
+    assert s.take_raw_events() == [(v, D | MAX)]
+    s.pop()
+
+
+MASKS = (D, MIN, MAX, INST, EventKind.BOUNDS, EventKind.ANY)
+
+
+@pytest.mark.parametrize(
+    "mutate, kinds",
+    [
+        (lambda s, v: s.remove(v, 2), D),
+        (lambda s, v: s.set_max(v, 3), D | MAX),
+        (lambda s, v: s.set_min(v, 1), D | MIN),
+        (lambda s, v: s.assign(v, 2), D | MIN | MAX | INST),
+        (lambda s, v: s.retain(v, s.values(v), (0,)), D | MAX | INST),
+    ],
+    ids=["remove-interior", "set_max", "set_min", "assign", "retain-to-one"],
+)
+def test_shrink_queues_exactly_the_subscribers_its_kinds_meet(mutate, kinds):
+    """Each mask of ``MASKS`` subscribes once to ``v``; a subscriber that
+    meets the kinds but is inactive or already queued, and one on another
+    variable, are not queued."""
+    s = Store()
+    v = s.new_var(range(5))
+    other = s.new_var(range(5))
+    n = len(MASKS)
+    subs = {
+        v: [*enumerate(MASKS), (n, EventKind.ANY), (n + 1, EventKind.ANY)],
+        other: [(n + 2, EventKind.ANY)],
+    }
+    active = [True] * (n + 3)
+    active[n] = False
+    queued = [False] * (n + 3)
+    queued[n + 1] = True
+    order = []
+    s.dispatch_to(subs, active, queued, order.append)
+    assert mutate(s, v)
+    expected = [idx for idx, mask in enumerate(MASKS) if mask & kinds]
+    assert order == expected
+    assert queued == [idx in expected or idx == n + 1 for idx in range(n + 3)]
+    assert s.take_raw_events() == [(v, kinds)]
 
 
 def test_restore_round_trip_exact():
@@ -234,7 +363,7 @@ def test_retain_keeping_everything_changes_and_trails_nothing():
     v = s.new_var([1, 4, 6])
     log = []
     s.watch_bounds([v], lambda *args: log.append(args))
-    s.discard_events()
+    s.take_raw_events()
     s.push()
     dom = s.values(v)
     assert not s.retain(v, dom, dom)
