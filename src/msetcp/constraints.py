@@ -171,7 +171,8 @@ class Cardinality(Propagator):
     """Counting-based cardinality filter linking values to occurrence variables.
 
     ``occ[k]`` counts how many of ``xs`` take ``values[k]``; the value list is
-    strictly decreasing and must cover every value the variables can take.
+    strictly decreasing, and no variable takes a value off it: one fixed to
+    such a value fails the call, and the others lose such values.
     Occurrence bounds are tightened from the fixed/holder counts, and
     saturated bounds force or forbid values on the variable side, in one pass
     per call: the engine re-runs it on its own events (it is not idempotent,
@@ -188,7 +189,14 @@ class Cardinality(Propagator):
             raise ValueError("value list must be strictly decreasing")
         self.xs = list(xs)
         self.vals = list(values)
+        self.listed = frozenset(values)
         self.occ = list(occ)
+        self.unlisted = True  # whether a domain may hold a value off the list
+
+    def attach(self, store: Store) -> None:
+        # attach runs at the root and domains only shrink from there, so no
+        # domain ever holds a value off the list unless one holds it now
+        self.unlisted = not all(map(self.listed.issuperset, store.domains(self.xs)))
 
     def subscriptions(self):
         for v in self.xs:
@@ -196,16 +204,16 @@ class Cardinality(Propagator):
         for v in self.occ:
             yield v, EventKind.BOUNDS
 
-    def post(self, store: Store) -> Status:
-        allowed = set(self.vals).__contains__
-        for x, dom in zip(self.xs, store.domains(self.xs)):
-            store.retain(x, dom, tuple(filter(allowed, dom)))
-        return self.propagate(store)
-
     def propagate(self, store: Store) -> Status:
         xs = self.xs
         domain = store.values
         doms, fixed, free = _tally(store, xs)
+        if self.unlisted:
+            listed = self.listed
+            if not listed.issuperset(fixed):
+                raise Inconsistent("cardinality: a variable is fixed to an unlisted value")
+            for val in free.keys() - listed:
+                _settle(store, val, 0, free[val], 0, 0, xs, doms)
         for val, o in zip(self.vals, self.occ):
             least = fixed.get(val, 0)
             most = least + free.get(val, 0)
@@ -775,7 +783,8 @@ class Conditional(Propagator):
     body at the root, where the domains are widest, so its set-up
     (validation, incremental state, watchers) is done before its
     ``propagate`` first runs at whatever depth the guards meet.  A body's own
-    ``post`` is not run, so a body must not rely on root pruning done there.
+    ``post`` is not run, so all of a body's pruning must be in ``propagate``,
+    as it is in every propagator here.
     """
 
     def __init__(self, guard_a: int, guard_b: int, body: Propagator) -> None:

@@ -47,11 +47,12 @@ class SearchTimeout(Exception):
 class Propagator:
     """One constraint's filtering algorithm.
 
-    ``post`` runs once when the network starts up: by default it is
-    ``attach`` followed by ``propagate``.  ``attach`` is the one-off set-up
-    (state allocation, watcher registration, input validation) and prunes
-    nothing; ``post`` is overridden only where the root needs more, such as a
-    one-off pruning.
+    ``post`` runs once when the network starts up: it is ``attach``
+    followed by ``propagate``.  ``attach`` is the one-off set-up (state
+    allocation, watcher registration, input validation) and prunes nothing,
+    so every pruning a constraint makes is in ``propagate``, which
+    :class:`~msetcp.constraints.Conditional` runs on its body without
+    ``post``.
     ``propagate`` is re-run whenever a subscribed event fires.  Both ``post``
     and ``propagate`` raise :class:`Inconsistent` on disentailment.  ``check``
     is the ground-level semantic test used to verify emitted solutions

@@ -17,13 +17,14 @@ pass visits only the others, in any order.
 The filters differ only in where the counts come from.
 :class:`MultisetOrdering` keeps occurrence vectors over the values renamed
 onto ``0..d-1`` when attached, in time linear in the vector length plus the
-number of distinct values.  :class:`SortedMultisetOrdering` keeps every
-``min(X_i)`` sorted and reads every ``max(Y_i)`` from its Y :class:`MaxIndex`,
-and merges the two into run-length counts on every call
-(:func:`_block_runs`), as far as the scan reads, at a cost independent of
-the size of the value range.
-:class:`StatelessMultisetOrdering` sorts its bounds and runs the same merge
-(:func:`_runs`) on every call and keeps nothing.
+number of distinct values.  The other two hand :func:`_runs`, the one merge,
+two descending sequences of bounds, and it counts their runs as far as the
+scan reads, at a cost independent of the size of the value range.
+:class:`SortedMultisetOrdering` keeps every ``min(X_i)`` in a
+:class:`SortedBlocks` and reads every ``max(Y_i)`` from its Y
+:class:`MaxIndex`, each read from the top down; those two classes alone know
+the block layout and the index's keys.  :class:`StatelessMultisetOrdering`
+sorts its bounds on every call and keeps nothing.
 
 The two dedicated filters (:class:`DedicatedFilter`) set up in ``attach`` from
 one snapshot of the domains, a single :meth:`~msetcp.store.Store.domains`
@@ -93,29 +94,38 @@ def _occurrence_counts(rank: dict[int, int], d: int, bounds: Iterable[int]) -> l
     return counts
 
 
-def _sorted_bounds(xmins: Iterable[int], ymaxs: Iterable[int]) -> tuple[list[int], list[int]]:
-    """Every ``min(X_i)`` and every ``max(Y_i)``, each sorted descending."""
-    return sorted(xmins, reverse=True), sorted(ymaxs, reverse=True)
-
-
-def _runs(sx: Sequence[int], sy: Sequence[int]) -> Iterator[tuple[int, int, int]]:
-    """Run-length counts of two descending sorted vectors, for :func:`_summary`.
+def _runs(sx: Iterable[int], sy: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    """Run-length counts of two descending iterables, for :func:`_summary`.
 
     Yields ``(value, count in sx, count in sy)`` for each distinct value,
-    largest first, merging only as far as the caller reads.
+    largest first.  A run is counted by reading one item past it, which is
+    kept as the head of the next run, so each input is read only one item
+    past what the caller has taken; an input's end reads as NO_INDEX.
     """
-    i = j = 0
-    nx, ny = len(sx), len(sy)
-    while i < nx or j < ny:
-        v = sx[i] if j == ny or (i < nx and sx[i] > sy[j]) else sy[j]
-        top = i
-        while i < nx and sx[i] == v:
-            i += 1
-        cx = i - top
-        top = j
-        while j < ny and sy[j] == v:
-            j += 1
-        yield v, cx, j - top
+    sx, sy = iter(sx), iter(sy)
+    x, y = next(sx, NO_INDEX), next(sy, NO_INDEX)
+    while True:
+        v = x if x > y else y
+        if v == NO_INDEX:
+            return
+        cx = cy = 0
+        if x == v:
+            cx = 1
+            for x in sx:
+                if x != v:
+                    break
+                cx += 1
+            else:
+                x = NO_INDEX
+        if y == v:
+            cy = 1
+            for y in sy:
+                if y != v:
+                    break
+                cy += 1
+            else:
+                y = NO_INDEX
+        yield v, cx, cy
 
 
 def _summary(runs: Iterable[tuple[int, int, int]], strict: bool) -> tuple[Flags, int, int, int, int]:
@@ -191,6 +201,9 @@ class SortedBlocks:
     def __iter__(self) -> Iterator[int]:
         return chain.from_iterable(self.blocks)
 
+    def __reversed__(self) -> Iterator[int]:
+        return chain.from_iterable(map(reversed, reversed(self.blocks)))
+
     def move(self, old: int, new: int) -> None:
         """Replace one ``old`` by ``new``; ValueError, and no change, when
         there is no ``old``."""
@@ -225,7 +238,8 @@ class MaxIndex(SortedBlocks):
     """The variables of one side of a filter, ordered by their current max.
 
     Holds the keys ``max * stride + var``, ``stride`` exceeding every
-    variable; ``%`` rounds toward -inf, so negative maxima split back too.
+    variable; ``//`` and ``%`` round toward -inf, so negative maxima split
+    back too.
     The filter's bound watcher reports each max change, shrink or restore, to
     :meth:`moved`, which costs what one :meth:`SortedBlocks.move` costs.
     """
@@ -242,6 +256,10 @@ class MaxIndex(SortedBlocks):
     def keys(self) -> list[int]:
         """Every key, ascending."""
         return list(self)
+
+    def maxima(self) -> Iterator[int]:
+        """Every max, descending, decoded from the keys as they are read."""
+        return map(self.stride.__rfloordiv__, reversed(self))
 
     def moved(self, var: int, old_max: int, new_max: int) -> None:
         stride = self.stride
@@ -269,52 +287,6 @@ class MaxIndex(SortedBlocks):
             block = blocks[i]
             keys = chain(block[bisect_left(block, low) :], *blocks[i + 1 :])
         return [k % stride for k in keys]
-
-
-def _block_runs(xmin: SortedBlocks, ymax: MaxIndex) -> Iterator[tuple[int, int, int]]:
-    """:func:`_runs` over the vectors :class:`SortedMultisetOrdering` keeps:
-    the values of ``xmin`` and the Y maxima that the keys of ``ymax`` hold.
-
-    Reads both from their last block down, by index, and a run that reaches
-    the start of a block goes on into the block below.  A Y key ``k`` holds
-    the max ``k // stride``: a value ``x`` lies above it exactly when
-    ``x * stride > k``, and once every larger key is read, the keys of value
-    ``v`` are the ones left from ``v * stride`` up.
-    """
-    stride = ymax.stride
-    xblocks, yblocks = xmin.blocks, ymax.blocks
-    bx, by = len(xblocks) - 1, len(yblocks) - 1
-    sx, sy = xblocks[bx], yblocks[by]
-    i, j = len(sx) - 1, len(sy) - 1
-    while i >= 0 or j >= 0:
-        if j < 0 or (i >= 0 and sx[i] * stride > sy[j]):
-            v = sx[i]
-        else:
-            v = sy[j] // stride
-        top = i
-        while i >= 0 and sx[i] == v:
-            i -= 1
-        cx = top - i
-        while i < 0 and bx > 0:
-            bx -= 1
-            sx = xblocks[bx]
-            i = top = len(sx) - 1
-            while i >= 0 and sx[i] == v:
-                i -= 1
-            cx += top - i
-        low = v * stride
-        top = j
-        while j >= 0 and sy[j] >= low:
-            j -= 1
-        cy = top - j
-        while j < 0 and by > 0:
-            by -= 1
-            sy = yblocks[by]
-            j = top = len(sy) - 1
-            while j >= 0 and sy[j] >= low:
-                j -= 1
-            cy += top - j
-        yield v, cx, cy
 
 
 def _prune(
@@ -544,14 +516,15 @@ class StatelessMultisetOrdering(MultisetPair):
     Prunes exactly like :class:`MultisetOrdering` but keeps no state; the
     benchmark's conditional orderings use it as their
     :class:`~msetcp.constraints.Conditional` body.  Each call sorts
-    ``min(X_i)`` and ``max(Y_i)`` and merges them into run-length counts, as
-    :class:`SortedMultisetOrdering` does with its kept vectors.
+    ``min(X_i)`` and ``max(Y_i)`` and hands them to :func:`_runs`, as
+    :class:`SortedMultisetOrdering` hands it its kept vectors.
     """
 
     def propagate(self, store: Store) -> Status:
         xs, ys = self.xs, self.ys
-        runs = _runs(*_sorted_bounds(map(store.min, xs), map(store.max, ys)))
-        _prune(store, xs, ys, *_summary(runs, self.strict))
+        sx = sorted(map(store.min, xs), reverse=True)
+        sy = sorted(map(store.max, ys), reverse=True)
+        _prune(store, xs, ys, *_summary(_runs(sx, sy), self.strict))
         return Status.ACTIVE
 
 
@@ -559,13 +532,12 @@ class SortedMultisetOrdering(DedicatedFilter):
     """Sorted-vector filter for ``{{X}} <=m {{Y}}`` (``<m`` with strict).
 
     Keeps every ``min(X_i)`` in a :class:`SortedBlocks` and reads every
-    ``max(Y_i)`` from the keys of its Y :class:`MaxIndex`, and merges the two
-    on every call, from the top and as far as the shared scan reads, into
-    run-length counts over the values they hold (:func:`_block_runs`), so a
-    call costs time linear in the vector length, independent of the size of
-    the value range, and no per-value count array is ever kept.  A bound
-    change moves one value of one of them.  The vectors may have different
-    lengths.
+    ``max(Y_i)`` from its Y :class:`MaxIndex` (:meth:`MaxIndex.maxima`), and
+    on every call hands both, read from the top down, to :func:`_runs`, which
+    counts their runs only as far as the shared scan reads.  So a call costs
+    time linear in the vector length, independent of the size of the value
+    range, and no per-value count array is ever kept.  A bound change moves
+    one value of one of them.  The vectors may have different lengths.
     """
 
     def __init__(self, xs: Sequence[int], ys: Sequence[int], strict: bool = False) -> None:
@@ -578,16 +550,13 @@ class SortedMultisetOrdering(DedicatedFilter):
     @property
     def xmin_sorted(self) -> list[int]:
         """Every ``min(X_i)``, descending."""
-        return list(self.xmin)[::-1]
+        return list(reversed(self.xmin))
 
     @property
     def ymax_sorted(self) -> list[int]:
         """Every ``max(Y_i)``, descending, as the Y index holds them."""
         index = self.ymax_index
-        if index is None:
-            return []
-        stride = index.stride
-        return [k // stride for k in index.keys[::-1]]
+        return [] if index is None else list(index.maxima())
 
     # -- incremental maintenance -------------------------------------------------
 
@@ -604,12 +573,13 @@ class SortedMultisetOrdering(DedicatedFilter):
     def rebuilt_sorted(self, store: Store) -> tuple[list[int], list[int]]:
         """Sorted vectors recomputed from scratch (reference for the
         incrementally maintained ones)."""
-        return _sorted_bounds(map(store.min, self.xs), map(store.max, self.ys))
+        xmins = sorted(map(store.min, self.xs), reverse=True)
+        return xmins, sorted(map(store.max, self.ys), reverse=True)
 
     # -- filtering ----------------------------------------------------------------
 
     def propagate(self, store: Store) -> Status:
-        fl, *counts = _summary(_block_runs(self.xmin, self.ymax_index), self.strict)
+        fl, *counts = _summary(_runs(reversed(self.xmin), self.ymax_index.maxima()), self.strict)
         lt = fl.first_lt
         _prune(store, self.xmax_index.reaching(lt), self.ymax_index.reaching(lt), fl, *counts)
         self.last_flags = fl

@@ -1154,6 +1154,28 @@ class TestReifiedAndConditional:
         with pytest.raises(ValueError, match="non-negative"):
             propagate_to_fixpoint(m)
 
+    @pytest.mark.parametrize("guards", [({1}, {1}), ({1}, {2}), ({0, 1}, {0, 1})])
+    def test_conditional_cardinality_keeps_to_its_value_list(self, guards):
+        # Conditional never runs its body's post, so the body must forbid
+        # the unlisted value 0 in propagate; the solver checks the solution
+        m = Model()
+        ra, rb = (m.new_var(g) for g in guards)
+        xs = [m.new_var({0, 1}) for _ in range(2)]
+        o = m.new_var(range(3))
+        m.post(Conditional(ra, rb, Cardinality(xs, [1], [o])))
+        sol, _ = Solver(m).solve(Branching([ra, rb] + xs + [o]))
+        assert sol is not None
+        if sol[ra] == sol[rb]:
+            assert [sol[x] for x in xs] == [1, 1] and sol[o] == 2
+
+    def test_conditional_cardinality_fails_on_a_variable_fixed_off_its_list(self):
+        m = Model()
+        ra, rb = m.new_var({1}), m.new_var({1})
+        xs = [m.new_var({1}), m.new_var({0})]
+        o = m.new_var(range(3))
+        m.post(Conditional(ra, rb, Cardinality(xs, [1], [o])))
+        assert fixpoint(m) is None
+
     @pytest.mark.parametrize("strict", [False, True])
     def test_incremental_body_searches_like_stateless_body(self, strict):
         # the guards meet only inside the search, so the incremental body's

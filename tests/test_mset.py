@@ -1,12 +1,15 @@
 """The multiset ordering filters: goldens, flags, incrementality, oracle parity."""
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, insort_left
+from collections import Counter
 from itertools import chain
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from msetcp import oracle
+from msetcp import mset, oracle
 from msetcp.mset import (
     BLOCK_SIZE,
     NO_INDEX,
@@ -16,10 +19,8 @@ from msetcp.mset import (
     SortedBlocks,
     SortedMultisetOrdering,
     StatelessMultisetOrdering,
-    _block_runs,
     _prune,
     _runs,
-    _sorted_bounds,
     _summary,
 )
 from msetcp.store import Inconsistent, Store
@@ -49,6 +50,13 @@ def complete_summary(runs, strict):
     below = [(cx, cy) for _, cx, cy in runs[j + 1 :] if cx != cy]
     tail_wrong = below[0][0] > below[0][1] if below else strict
     return Flags(lt, gt, flat, tail_wrong), x_at_lt, y_at_lt, x_at_gt, y_at_gt
+
+
+def counted_runs(xvals, yvals):
+    """What :func:`_runs` yields for two inputs in any order: per value held
+    on either side, largest first, the count on each side."""
+    cx, cy = Counter(xvals), Counter(yvals)
+    return [(v, cx[v], cy[v]) for v in sorted(cx.keys() | cy.keys(), reverse=True)]
 
 
 def make(xdoms, ydoms):
@@ -201,7 +209,7 @@ class TestSortedVariant:
         p = SortedMultisetOrdering(xs, ys)
         p.post(s)
         fl, x_at_lt, y_at_lt, x_at_gt, y_at_gt = complete_summary(
-            _block_runs(p.xmin, p.ymax_index), p.strict
+            _runs(reversed(p.xmin), p.ymax_index.maxima()), p.strict
         )
         assert (fl.first_lt, fl.first_gt) == (4, 2)
         assert fl.flat_between and not fl.tail_wrong
@@ -211,7 +219,7 @@ class TestSortedVariant:
         s, xs, ys = make([{1}, {2}], [{2}, {1}])
         p = SortedMultisetOrdering(xs, ys)
         p.post(s)
-        fl, *counts = complete_summary(_block_runs(p.xmin, p.ymax_index), p.strict)
+        fl, *counts = complete_summary(_runs(reversed(p.xmin), p.ymax_index.maxima()), p.strict)
         assert fl.first_lt is NO_INDEX and counts == [0, 0, 0, 0]
 
     def test_lex_greater_views_fail(self):
@@ -602,15 +610,15 @@ class TestSortedBlocks:
         ys = list(range(len(ymaxs)))
         xmin, ymax = SortedBlocks(xmins), MaxIndex(ys, ([m] for m in ymaxs))
         for step in range(200):
-            expected = list(_runs(*_sorted_bounds(xmins, ymaxs)))
-            assert list(_block_runs(xmin, ymax)) == expected
+            expected = counted_runs(xmins, ymaxs)
+            assert list(_runs(reversed(xmin), ymax.maxima())) == expected
             i, j = rng.randrange(len(xmins)), rng.randrange(len(ys))
             new_x, new_y = rng.randrange(values), rng.randrange(values)
             xmin.move(xmins[i], new_x)
             ymax.moved(ys[j], ymaxs[j], new_y)
             xmins[i], ymaxs[j] = new_x, new_y
         assert len(xmin.blocks) > 1 and len(ymax.blocks) > 1
-        assert list(_block_runs(SortedBlocks([]), MaxIndex([], []))) == []
+        assert list(_runs(reversed(SortedBlocks([])), MaxIndex([], []).maxima())) == []
 
     def test_blocks_stay_bounded_through_a_search(self):
         rng = random.Random(2024)
@@ -643,10 +651,154 @@ class TestSortedBlocks:
         assert occ.ymax_index.keys == srt.ymax_index.keys
 
 
+class TestRuns:
+    """The one merge behind the three filters' scan, against counts of its
+    two inputs, fed as each filter feeds it."""
+
+    @staticmethod
+    def _crossings(c, key=lambda v: v):
+        """Block starts that split a run of equal values (keys of equal max)."""
+        return sum(key(a[-1]) == key(b[0]) for a, b in zip(c.blocks, c.blocks[1:]))
+
+    @pytest.mark.parametrize(
+        "nx, ny, low, high",
+        [
+            (0, 0, 0, 0),  # both sides empty
+            (0, 9, -3, 3),  # X empty
+            (7, 0, -3, 3),  # Y empty
+            (5, 3 * BLOCK_SIZE + 2, -50, -1),  # negative maxima only
+            (2 * BLOCK_SIZE + 11, 4, -(10**6), 10**6),  # few repeats
+            (2 * BLOCK_SIZE + 11, 3 * BLOCK_SIZE + 2, -40, 40),  # runs across blocks
+        ],
+    )
+    def test_blocked_and_sorted_inputs_merge_like_counts(self, nx, ny, low, high):
+        rng = random.Random(f"{nx}:{ny}:{low}")
+        xmins = [rng.randint(low, high) for _ in range(nx)]
+        ymaxs = [rng.randint(low, high) for _ in range(ny)]
+        ys = rng.sample(range(1, 2 * ny + 2), ny)  # no key at exactly max * stride
+        xmin, ymax = SortedBlocks(xmins), MaxIndex(ys, ([m] for m in ymaxs))
+        crossed_x = crossed_y = 0
+        for step in range(150):
+            expected = counted_runs(xmins, ymaxs)
+            assert list(_runs(reversed(xmin), ymax.maxima())) == expected
+            sx, sy = sorted(xmins, reverse=True), sorted(ymaxs, reverse=True)
+            assert list(_runs(sx, sy)) == expected
+            crossed_x += self._crossings(xmin)
+            crossed_y += self._crossings(ymax, ymax.stride.__rfloordiv__)
+            if nx:
+                i, new = rng.randrange(nx), rng.randint(low, high)
+                xmin.move(xmins[i], new)
+                xmins[i] = new
+            if ny:
+                j, new = rng.randrange(ny), rng.randint(low, high)
+                ymax.moved(ys[j], ymaxs[j], new)
+                ymaxs[j] = new
+        if high - low < 100 and min(nx, ny) > BLOCK_SIZE:
+            assert crossed_x and crossed_y
+
+    def test_negative_maxima_decode_by_floor(self):
+        s = Store()
+        vs = [s.new_var([-9, m]) for m in (-1, -2, -2, -7, 0, 3)]
+        assert list(MaxIndex(vs, map(s.values, vs)).maxima()) == [3, 0, -1, -2, -2, -7]
+
+    def test_a_run_read_takes_one_item_past_it_on_each_side(self):
+        rng = random.Random(3)
+
+        def counting(values, taken, side):
+            for v in values:
+                taken[side] += 1
+                yield v
+
+        for _ in range(300):
+            sx = sorted((rng.randrange(6) for _ in range(rng.randrange(12))), reverse=True)
+            sy = sorted((rng.randrange(6) for _ in range(rng.randrange(12))), reverse=True)
+            taken = [0, 0]
+            runs = _runs(counting(sx, taken, 0), counting(sy, taken, 1))
+            seen_x = seen_y = 0
+            for v, cx, cy in runs:
+                seen_x, seen_y = seen_x + cx, seen_y + cy
+                assert taken[0] <= seen_x + 1 and taken[1] <= seen_y + 1, (sx, sy, v)
+            assert (seen_x, seen_y) == (len(sx), len(sy))
+        # a scan that ends at a first difference near the top reads no further
+        taken = [0, 0]
+        long = [5] * 1000
+        sx, sy = counting([9] + long, taken, 0), counting([9, 8, 8] + long, taken, 1)
+        fl, *_ = _summary(_runs(sx, sy), False)
+        assert fl.first_lt == 8 and taken == [2, 4]
+
+
+class BlocksMachine(RuleBasedStateMachine):
+    """A :class:`SortedBlocks` and a :class:`MaxIndex`, moved at random
+    against a sorted list and a dict of maxima, with blocks of at most four
+    values so that splits and drops come within a few steps."""
+
+    def __init__(self):
+        super().__init__()
+        self._block_size = mset.BLOCK_SIZE
+        mset.BLOCK_SIZE = 4
+
+    def teardown(self):
+        mset.BLOCK_SIZE = self._block_size
+
+    @initialize(
+        values=st.lists(st.integers(-20, 20), max_size=30),
+        maxima=st.dictionaries(st.integers(0, 40), st.integers(-20, 20), max_size=30),
+    )
+    def build(self, values, maxima):
+        self.flat = sorted(values)
+        self.blocks = SortedBlocks(values)
+        self.maxima = maxima
+        self.index = MaxIndex(list(maxima), ([m] for m in maxima.values()))
+
+    @rule(data=st.data(), new=st.integers(-25, 25))
+    def move(self, data, new):
+        old = data.draw(st.sampled_from(self.flat) if self.flat else st.integers(-25, 25))
+        if old not in self.flat:
+            with pytest.raises(ValueError):
+                self.blocks.move(old, new)
+            return
+        self.blocks.move(old, new)
+        self.flat.remove(old)
+        insort_left(self.flat, new)
+
+    @precondition(lambda self: self.maxima)
+    @rule(data=st.data(), new=st.integers(-25, 25))
+    def moved(self, data, new):
+        var = data.draw(st.sampled_from(sorted(self.maxima)))
+        self.index.moved(var, self.maxima[var], new)
+        self.maxima[var] = new
+
+    @rule(bound=st.one_of(st.just(NO_INDEX), st.integers(-25, 25)))
+    def reaching(self, bound):
+        by_key = sorted((m, v) for v, m in self.maxima.items())
+        assert self.index.reaching(bound) == [v for m, v in by_key if m >= bound]
+
+    @rule()
+    def iterate(self):
+        assert list(self.blocks) == self.flat
+        assert list(reversed(self.blocks)) == self.flat[::-1]
+        assert list(self.index.maxima()) == sorted(self.maxima.values(), reverse=True)
+
+    @invariant()
+    def shape(self):
+        for c in (self.blocks, self.index):
+            blocks = c.blocks
+            assert all(len(b) <= mset.BLOCK_SIZE for b in blocks)
+            assert all(blocks) or blocks == [[]]  # only an empty vector has an empty block
+            assert c.maxes == [b[-1] for b in blocks[:-1]]
+            assert c.single is (blocks[0] if len(blocks) == 1 else None)
+            flat = list(c)
+            assert flat == sorted(flat)
+
+
+BlocksMachine.TestCase.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)
+TestBlocksMachine = BlocksMachine.TestCase
+
+
 def _full_prune(s, xs, ys, strict):
     """The prune pass over the whole vectors, from the complete scan of
     freshly sorted bounds; returns that scan's summary."""
-    sx, sy = _sorted_bounds(map(s.min, xs), map(s.max, ys))
+    sx, sy = sorted(map(s.min, xs), reverse=True), sorted(map(s.max, ys), reverse=True)
     summary = complete_summary(_runs(sx, sy), strict)
     _prune(s, xs, ys, *summary)
     return summary
