@@ -4,7 +4,13 @@ Filtering strengths are deliberately heterogeneous and documented per class:
 the lexicographic ordering filter is GAC; the cardinality filter and the
 sortedness channel are bounds-and-counting filters (not full GAC) built on
 one per-value count and one force/forbid rule, one pass per call, left to the
-engine's queue to re-run; all-different only reacts to instantiations.  The
+engine's queue to re-run; all-different only reacts to instantiations.  Like
+the multiset filters, the two counting filters rename their values onto
+``0..d-1`` when attached (:func:`~msetcp.order.rank_map`) and count into
+lists indexed by that rank, whatever the values are: negative, sparse or off
+a value list.  The lexicographic and counting filters read each vector once
+per call; they and the multiset prune cut a bound only when that moves it.
+The
 table, all-different, lexicographic, ``x < y``, ``<=`` sum and meet-once
 filters reach their own fixpoint in one call over distinct variables and
 declare ``idempotent`` on the class, so the engine, which trusts the
@@ -31,13 +37,18 @@ from __future__ import annotations
 import functools
 import linecache
 from bisect import bisect_left, bisect_right
+from itertools import accumulate, chain
+from operator import itemgetter
 from typing import Sequence
 
 from .engine import Propagator, Status
 from .mset import MultisetPair
 from .mset import StatelessMultisetOrdering  # re-exported beside Conditional, its host
-from .order import Ordering, lex_cmp, sort_desc
+from .order import Ordering, lex_cmp, rank_map, sort_desc
 from .store import EventKind, Inconsistent, Store
+
+_low, _high = itemgetter(0), itemgetter(-1)  # the bounds of a domain tuple
+_NEVER = (0,)  # the count domain of a value that no variable may take
 
 
 class LexOrdering(Propagator):
@@ -46,7 +57,12 @@ class LexOrdering(Propagator):
     Walks the most significant indices whose pairs are not yet fixed equal;
     at the first such index the pair is forced weakly or strictly ordered
     depending on whether the remaining suffix can still rescue equality.
-    Being GAC, one call reaches its own fixpoint: it is idempotent.
+    A call reads each vector once and works on that snapshot: it cuts
+    ``max X_i`` or ``min Y_i`` only when the cut moves the bound, and reads
+    both vectors again after a cut, so a variable listed twice is seen as it
+    is now.  Entailment is one list comparison, of every ``max X_i`` with
+    every ``min Y_i``.  Being GAC, one call reaches its own fixpoint: it is
+    idempotent.
     """
 
     idempotent = True
@@ -64,49 +80,43 @@ class LexOrdering(Propagator):
         for v in self.ys:
             yield v, EventKind.BOUNDS
 
-    def _suffix_can_equalize(self, store: Store, start: int) -> bool:
-        """True when the vectors from ``start`` on can still satisfy the
-        (strictness-adjusted) ordering under forced equality above."""
-        for t in range(start, len(self.xs)):
-            lo = store.min(self.xs[t])
-            hi = store.max(self.ys[t])
-            if lo < hi:
-                return True
-            if lo > hi:
-                return False
-        return not self.strict
-
     def propagate(self, store: Store) -> Status:
-        xs, ys = self.xs, self.ys
+        xs, ys, strict = self.xs, self.ys, self.strict
+        xdoms, ydoms = store.domains(xs), store.domains(ys)
         n = len(xs)
         i = 0
         while i < n:
-            x, y = xs[i], ys[i]
-            if (
-                store.is_fixed(x)
-                and store.is_fixed(y)
-                and store.min(x) == store.min(y)
-            ):
+            xd, yd = xdoms[i], ydoms[i]
+            if len(xd) == 1 and xd == yd:
                 i += 1
                 continue
-            can_eq = self._suffix_can_equalize(store, i + 1)
-            if can_eq:
-                store.set_max(x, store.max(y))
-                store.set_min(y, store.min(x))
-            else:
-                store.set_max(x, store.max(y) - 1)
-                store.set_min(y, store.min(x) + 1)
-            if store.min(x) < store.max(y):
+            # whether the suffix can still satisfy the ordering with this
+            # pair equal: the first pair whose bounds differ decides
+            can_eq = not strict
+            for t in range(i + 1, n):
+                lo, hi = xdoms[t][0], ydoms[t][-1]
+                if lo != hi:
+                    can_eq = lo < hi
+                    break
+            gap = 0 if can_eq else 1
+            top, bottom = yd[-1] - gap, xd[0] + gap
+            cut = False
+            if xd[-1] > top:
+                cut = store.set_max(xs[i], top)
+            if yd[0] < bottom:
+                cut = store.set_min(ys[i], bottom) or cut
+            if cut:
+                xdoms, ydoms = store.domains(xs), store.domains(ys)
+                xd, yd = xdoms[i], ydoms[i]
+            if xd[0] < yd[-1]:
                 break
             i += 1  # pair just became fixed equal
         else:
-            if self.strict:
+            if strict:
                 raise Inconsistent("lex ordering: vectors fixed equal")
             return Status.ENTAILED
-        worst = lex_cmp(
-            tuple(store.max(v) for v in xs), tuple(store.min(v) for v in ys)
-        )
-        if worst is Ordering.LESS or (worst is Ordering.EQUAL and not self.strict):
+        worst, best = list(map(_high, xdoms)), list(map(_low, ydoms))
+        if worst < best or (worst == best and not strict):
             return Status.ENTAILED
         return Status.ACTIVE
 
@@ -117,51 +127,41 @@ class LexOrdering(Propagator):
         return cmp is not Ordering.GREATER
 
 
-def _tally(store: Store, variables: Sequence[int]) -> tuple[list, dict[int, int], dict[int, int]]:
-    """``(domains, fixed, free)`` from one read of each domain tuple: the
-    domains of ``variables`` in order, and per value how many variables are
-    fixed to it and how many unfixed ones still hold it.  Only counts are
-    kept; :func:`_settle` finds the holders of a value in the snapshot when it
-    needs them."""
-    doms = store.domains(variables)
-    fixed: dict[int, int] = {}
-    free: dict[int, int] = {}
+def _tally(
+    rank: dict[int, int], d: int, doms: Sequence[tuple[int, ...]]
+) -> tuple[list[int], list[int]]:
+    """``(fixed, free)``, two count lists indexed by rank: per value, how many
+    of ``doms`` are fixed to it and how many unfixed ones still hold it.
+    ``rank`` maps every value of ``doms`` onto ``0..d-1``; the filters build
+    it at the root, and as domains only shrink it stays valid for the whole
+    search.  Only counts are kept; :func:`_settle` finds the holders of a
+    value in ``doms`` when it needs them."""
+    fixed = [0] * d
+    free = [0] * d
     for dom in doms:
         if len(dom) == 1:
-            val = dom[0]
-            fixed[val] = fixed.get(val, 0) + 1
+            fixed[rank[dom[0]]] += 1
         else:
             for val in dom:
-                free[val] = free.get(val, 0) + 1
-    return doms, fixed, free
+                free[rank[val]] += 1
+    return fixed, free
 
 
 def _settle(
     store: Store,
     val: int,
-    fixed: int,
-    free: int,
-    lo: int,
-    hi: int,
+    force: bool,
     variables: Sequence[int],
     doms: Sequence[tuple[int, ...]],
 ) -> None:
-    """Force or forbid ``val``, which occurs ``lo..hi`` times among
-    ``variables`` of which ``fixed`` take it and ``free`` unfixed ones still
-    may: every holder takes it when ``lo`` needs them all, none when
-    ``fixed`` already reaches ``hi``.  The holders are read from ``doms``, the
-    snapshot of :func:`_tally`, in ``variables`` order, and only when a rule
-    fires.  A snapshot taken before cuts made since is a superset of the
-    domains, so both cuts stay implied and fail exactly when the counts are
-    infeasible."""
-    if not free:
-        return
-    if lo == fixed + free:
-        cut = store.assign
-    elif hi == fixed:
-        cut = store.remove
-    else:
-        return
+    """Assign ``val`` to every unfixed holder of it when ``force``, else
+    remove it from every one.  The callers force a value when its least
+    count needs every holder and forbid it when its fixed takers already
+    reach its greatest count.  The holders are read from ``doms``, the
+    snapshot that :func:`_tally` counted, in ``variables`` order.  A snapshot
+    taken before cuts made since is a superset of the domains, so both cuts
+    stay implied and fail exactly when the counts are infeasible."""
+    cut = store.assign if force else store.remove
     for x, dom in zip(variables, doms):
         if len(dom) > 1 and val in dom:
             cut(x, val)
@@ -171,15 +171,21 @@ class Cardinality(Propagator):
     """Counting-based cardinality filter linking values to occurrence variables.
 
     ``occ[k]`` counts how many of ``xs`` take ``values[k]``; the value list is
-    strictly decreasing, and no variable takes a value off it: one fixed to
-    such a value fails the call, and the others lose such values.
+    strictly decreasing, and no variable takes a value off it.
     Occurrence bounds are tightened from the fixed/holder counts, and
     saturated bounds force or forbid values on the variable side, in one pass
     per call: the engine re-runs it on its own events (it is not idempotent,
     since a forced or forbidden value changes the counts of other values).
-    One call reads each variable's domain once (:func:`_tally`) and each
-    ``occ`` domain once, calls ``set_min``/``set_max`` on an ``occ`` only
-    when that moves its bound, and :func:`_settle` only when a rule fires.
+
+    ``attach`` ranks the values of the domains and of the list at the root,
+    from the largest down, the order of the list.  A call reads every
+    variable's domain and every ``occ`` domain once each, counts into lists
+    indexed by rank (:func:`_tally`), and settles each value in one loop over
+    the ranks.  A value off the list occurs ``0..0`` times, like a listed
+    value whose ``occ`` is fixed to 0: a variable fixed to it fails the call,
+    and the others lose it.  ``set_min``/``set_max`` is called on an ``occ``
+    only when that moves its bound, and :func:`_settle` only on a value
+    that every holder must take or none may.
     """
 
     def __init__(self, xs: Sequence[int], values: Sequence[int], occ: Sequence[int]) -> None:
@@ -189,14 +195,22 @@ class Cardinality(Propagator):
             raise ValueError("value list must be strictly decreasing")
         self.xs = list(xs)
         self.vals = list(values)
-        self.listed = frozenset(values)
         self.occ = list(occ)
-        self.unlisted = True  # whether a domain may hold a value off the list
+        self._rank: dict[int, int] = {}
+        self._ranked: list[int] = []  # the value of each rank
+        self._slots: list[int] = []
 
     def attach(self, store: Store) -> None:
-        # attach runs at the root and domains only shrink from there, so no
-        # domain ever holds a value off the list unless one holds it now
-        self.unlisted = not all(map(self.listed.issuperset, store.domains(self.xs)))
+        # attach runs at the root and domains only shrink from there, so
+        # every value a domain holds later has its rank now
+        rank, unrank = rank_map(chain(store.domains(self.xs), [self.vals]))
+        top = len(unrank) - 1
+        self._rank = {val: top - r for val, r in rank.items()}
+        self._ranked = unrank[::-1]
+        slot = {val: k for k, val in enumerate(self.vals)}
+        # per rank, the index of its value's ``occ``; -1, off the list, reads
+        # the constant count domain that ``propagate`` appends
+        self._slots = [slot.get(val, -1) for val in self._ranked]
 
     def subscriptions(self):
         for v in self.xs:
@@ -205,27 +219,29 @@ class Cardinality(Propagator):
             yield v, EventKind.BOUNDS
 
     def propagate(self, store: Store) -> Status:
-        xs = self.xs
-        domain = store.values
-        doms, fixed, free = _tally(store, xs)
-        if self.unlisted:
-            listed = self.listed
-            if not listed.issuperset(fixed):
-                raise Inconsistent("cardinality: a variable is fixed to an unlisted value")
-            for val in free.keys() - listed:
-                _settle(store, val, 0, free[val], 0, 0, xs, doms)
-        for val, o in zip(self.vals, self.occ):
-            least = fixed.get(val, 0)
-            most = least + free.get(val, 0)
-            count = domain(o)
-            if count[0] < least:
-                store.set_min(o, least)
-                count = domain(o)
-            if count[-1] > most:
-                store.set_max(o, most)
-                count = domain(o)
-            if most > least and (count[0] == most or count[-1] == least):
-                _settle(store, val, least, most - least, count[0], count[-1], xs, doms)
+        xs, occ = self.xs, self.occ
+        doms = store.domains(xs)
+        fixed, free = _tally(self._rank, len(self._ranked), doms)
+        counts = store.domains(occ)
+        counts.append(_NEVER)
+        for val, k, least, held in zip(self._ranked, self._slots, fixed, free):
+            count = counts[k]
+            lo, hi = count[0], count[-1]
+            most = least + held
+            if lo < least or hi > most:
+                if hi < least or lo > most:
+                    raise Inconsistent(f"cardinality: value {val} count out of range")
+                # a value off the list passes the test above only with no
+                # taker, and then its count 0..0 has nothing to cut
+                o = occ[k]
+                if lo < least:
+                    store.set_min(o, least)
+                if hi > most:
+                    store.set_max(o, most)
+                count = store.values(o)
+                lo, hi = count[0], count[-1]
+            if held and (lo == most or hi == least):
+                _settle(store, val, lo == most, xs, doms)
         return Status.ACTIVE
 
     def check(self, values: Sequence[int]) -> bool:
@@ -244,6 +260,14 @@ class SortednessLink(Propagator):
     other), and the sorted vector is kept non-increasing, in one pass per call
     as for :class:`Cardinality`.  Not full GAC, but strong enough to dominate
     the pure counting decomposition.
+
+    A call reads ``xs`` and ``sxs`` once each.  From that snapshot it caps
+    every position by the k-th largest max of ``xs`` and by the caps before
+    it, raises it to the k-th largest min and to the floors after it, and
+    cuts a bound only when that moves it; ``sxs`` is read again only after
+    such a cut, so the counts see what it left.  The counts go into lists
+    indexed by the ranks that ``attach`` gives the values of both sides at
+    the root (:func:`_tally`), and one loop over the ranks settles each value.
     """
 
     def __init__(self, xs: Sequence[int], sxs: Sequence[int]) -> None:
@@ -251,6 +275,12 @@ class SortednessLink(Propagator):
             raise ValueError("sorted view must have the same length")
         self.xs = list(xs)
         self.sxs = list(sxs)
+        self._rank: dict[int, int] = {}
+        self._unrank: list[int] = []
+
+    def attach(self, store: Store) -> None:
+        # domains only shrink after the root, so every later value has a rank
+        self._rank, self._unrank = rank_map(chain(store.domains(self.xs), store.domains(self.sxs)))
 
     def subscriptions(self):
         for v in self.xs:
@@ -260,29 +290,35 @@ class SortednessLink(Propagator):
 
     def propagate(self, store: Store) -> Status:
         xs, sxs = self.xs, self.sxs
-        n = len(xs)
-        # keep the sorted view non-increasing
-        for k in range(n - 1):
-            store.set_min(sxs[k], store.min(sxs[k + 1]))
-            store.set_max(sxs[k + 1], store.max(sxs[k]))
-        # position bounds: k-th largest of the per-variable bounds
-        maxs = sorted((store.max(x) for x in xs), reverse=True)
-        mins = sorted((store.min(x) for x in xs), reverse=True)
-        for k in range(n):
-            store.set_max(sxs[k], maxs[k])
-            store.set_min(sxs[k], mins[k])
+        xdoms, sdoms = store.domains(xs), store.domains(sxs)
+        # position bounds: k-th largest of the per-variable bounds, carried
+        # down the view for its caps and up it for its floors
+        maxs = sorted(map(_high, xdoms), reverse=True)
+        mins = sorted(map(_low, xdoms))
+        caps = accumulate(map(min, maxs, map(_high, sdoms)), min)
+        floors = accumulate(map(max, mins, map(_low, reversed(sdoms))), max)
+        cut = False
+        for s, dom, cap in zip(sxs, sdoms, caps):
+            if dom[-1] > cap:
+                cut = store.set_max(s, cap) or cut
+        for s, dom, floor in zip(reversed(sxs), reversed(sdoms), floors):
+            if dom[0] < floor:
+                cut = store.set_min(s, floor) or cut
+        if cut:  # count what the cuts left
+            sdoms = store.domains(sxs)
         # per-value occurrence counts must agree
-        x_doms, x_fixed, x_free = _tally(store, xs)
-        s_doms, s_fixed, s_free = _tally(store, sxs)
-        for val in x_fixed.keys() | x_free.keys() | s_fixed.keys() | s_free.keys():
-            xf, xc = x_fixed.get(val, 0), x_free.get(val, 0)
-            sf, sc = s_fixed.get(val, 0), s_free.get(val, 0)
+        rank, d = self._rank, len(self._unrank)
+        x_fixed, x_free = _tally(rank, d, xdoms)
+        s_fixed, s_free = _tally(rank, d, sdoms)
+        for val, xf, xc, sf, sc in zip(self._unrank, x_fixed, x_free, s_fixed, s_free):
             lo = max(xf, sf)
             hi = min(xf + xc, sf + sc)
             if lo > hi:
                 raise Inconsistent(f"sortedness: value {val} count mismatch")
-            _settle(store, val, xf, xc, lo, hi, xs, x_doms)
-            _settle(store, val, sf, sc, lo, hi, sxs, s_doms)
+            if xc and (lo == xf + xc or hi == xf):
+                _settle(store, val, lo == xf + xc, xs, xdoms)
+            if sc and (lo == sf + sc or hi == sf):
+                _settle(store, val, lo == sf + sc, sxs, sdoms)
         return Status.ACTIVE
 
     def check(self, values: Sequence[int]) -> bool:

@@ -47,7 +47,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .engine import Propagator, Status
-from .order import Ordering, mset_cmp
+from .order import Ordering, mset_cmp, rank_map
 from .store import EventKind, Inconsistent, Store
 
 NO_INDEX = float("-inf")
@@ -74,16 +74,6 @@ class Flags:
     first_gt: float
     flat_between: bool
     tail_wrong: bool
-
-
-def _rank_map(domains: Iterable[Sequence[int]]) -> tuple[dict[int, int], list[int]]:
-    """Order isomorphism from the union of ``domains`` onto ``0..d-1``.
-
-    Returns the value->rank map and its inverse (the sorted distinct values).
-    Renaming preserves multiset comparisons and keeps count vectors dense.
-    """
-    unrank = sorted(set(chain.from_iterable(domains)))
-    return dict(zip(unrank, range(len(unrank)))), unrank
 
 
 def _occurrence_counts(rank: dict[int, int], d: int, bounds: Iterable[int]) -> list[int]:
@@ -307,7 +297,10 @@ def _prune(
     compared with the flag values directly; "below ``first_lt``" is
     ``first_lt - 1`` and "above ``first_gt``" is ``first_gt + 1``, which cut
     exactly where the neighbouring counted values would, as the domains are
-    integers.
+    integers.  A cut is made only when it moves the bound: on an unfixed
+    variable, the cuts to its own other bound, to ``first_lt - 1`` and to
+    ``first_gt + 1`` always do, and the cuts to ``first_lt`` and ``first_gt``
+    are made only past them.
     """
     lt, gt = fl.first_lt, fl.first_gt
     critical = fl.flat_between and x_at_lt + 1 == y_at_lt
@@ -316,24 +309,24 @@ def _prune(
     past_gt = fl.tail_wrong or x_at_gt != y_at_gt + 1
     for x in xs:
         vals = store.values(x)
-        mn = vals[0]
-        if mn == vals[-1]:
+        mn, mx = vals[0], vals[-1]
+        if mn == mx:
             continue
         if mn >= lt:
             store.set_max(x, mn)
-        elif vals[-1] >= lt:
+        elif mx >= lt:
             if critical and (mn < gt or (mn == gt and past_gt)):
                 store.set_max(x, lt - 1)
-            else:
+            elif mx > lt:
                 store.set_max(x, lt)
     for y in ys:
         vals = store.values(y)
-        mx = vals[-1]
-        if vals[0] == mx:
+        mn, mx = vals[0], vals[-1]
+        if mn == mx:
             continue
         if mx > lt:
             store.set_min(y, mx)
-        elif critical and mx == lt and vals[0] <= gt:
+        elif critical and mx == lt and (mn < gt or (mn == gt and past_gt)):
             store.set_min(y, gt + 1 if past_gt else gt)
 
 
@@ -426,7 +419,7 @@ class MultisetOrdering(DedicatedFilter):
     # -- setup ----------------------------------------------------------------
 
     def _set_up(self, xdoms: list[tuple[int, ...]], ydoms: list[tuple[int, ...]]) -> None:
-        self._rank, self._unrank = _rank_map(chain(xdoms, ydoms))
+        self._rank, self._unrank = rank_map(chain(xdoms, ydoms))
         counts = self._counts(xdoms, ydoms)
         self.xmin_counts, self.ymax_counts = counts[0], counts[1]
         if self.track_entailment:

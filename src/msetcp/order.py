@@ -1,11 +1,14 @@
 """Ground-vector comparisons: lexicographic and multiset orderings.
 
-Vectors are plain sequences of ints, index 0 most significant.
+Vectors are plain sequences of ints, index 0 most significant.  The rank map
+renames a set of values onto ``0..d-1`` in order, which preserves both
+orderings; the counting filters index their count vectors by it.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
+from itertools import chain
 from typing import Iterable, Sequence
 
 
@@ -46,3 +49,13 @@ def mset_cmp(a: Iterable[int], b: Iterable[int]) -> Ordering:
     if len(sa) == len(sb):
         return Ordering.EQUAL
     return Ordering.LESS if len(sa) < len(sb) else Ordering.GREATER
+
+
+def rank_map(domains: Iterable[Sequence[int]]) -> tuple[dict[int, int], list[int]]:
+    """Order isomorphism from the union of ``domains`` onto ``0..d-1``.
+
+    Returns the value->rank map and its inverse (the sorted distinct values).
+    Renaming preserves multiset comparisons and keeps count vectors dense.
+    """
+    unrank = sorted(set(chain.from_iterable(domains)))
+    return dict(zip(unrank, range(len(unrank)))), unrank

@@ -22,7 +22,7 @@ from msetcp.constraints import (
     sum_eq,
 )
 from msetcp.engine import Branching, Model, Solver, Status, propagate_to_fixpoint
-from msetcp.mset import MultisetOrdering
+from msetcp.mset import MultisetOrdering, SortedMultisetOrdering
 from msetcp.store import Inconsistent, Store
 
 
@@ -54,6 +54,43 @@ class CutRecordingStore(Store):
         changed = super().set_min(var, bound)
         self.cuts.append(("min", var, bound, changed))
         return changed
+
+
+def cardinality_reference(values, xd, od):
+    """The counting rules of ``Cardinality`` (occ bounds from the fixed and
+    holder counts, then force or forbid the value) applied until nothing
+    changes: the domains of ``xd + od``, or None on failure."""
+    xd = [set(d) & set(values) for d in xd]
+    od = [set(d) for d in od]
+    if not all(xd):
+        return None
+    changed = True
+    while changed:
+        changed = False
+        for k, val in enumerate(values):
+            fixed = sum(d == {val} for d in xd)
+            holders = [d for d in xd if len(d) > 1 and val in d]
+            kept = {c for c in od[k] if fixed <= c <= fixed + len(holders)}
+            if not kept:
+                return None
+            if kept != od[k]:
+                od[k] = kept
+                changed = True
+            if holders and min(kept) == fixed + len(holders):
+                for d in holders:
+                    d.intersection_update({val})
+                changed = True
+            elif holders and max(kept) == fixed:
+                for d in holders:
+                    d.discard(val)
+                changed = True
+    return xd + od
+
+
+def sparse(v):
+    """An order-preserving renaming onto negative and sparse values, which
+    the counting filters must treat like the values it renames."""
+    return 7 * v - 10
 
 
 # -- decomposition builders ----------------------------------------------------
@@ -217,33 +254,6 @@ class TestCardinality:
         value) until nothing changes, on random small instances."""
         import random
 
-        def reference(values, xd, od):
-            xd = [set(d) & set(values) for d in xd]
-            od = [set(d) for d in od]
-            if not all(xd):
-                return None
-            changed = True
-            while changed:
-                changed = False
-                for k, val in enumerate(values):
-                    fixed = sum(d == {val} for d in xd)
-                    holders = [d for d in xd if len(d) > 1 and val in d]
-                    kept = {c for c in od[k] if fixed <= c <= fixed + len(holders)}
-                    if not kept:
-                        return None
-                    if kept != od[k]:
-                        od[k] = kept
-                        changed = True
-                    if holders and min(kept) == fixed + len(holders):
-                        for d in holders:
-                            d.intersection_update({val})
-                        changed = True
-                    elif holders and max(kept) == fixed:
-                        for d in holders:
-                            d.discard(val)
-                        changed = True
-            return xd + od
-
         rng = random.Random(41)
         failures = pruned = 0
         for _ in range(800):
@@ -256,11 +266,75 @@ class TestCardinality:
             occ = [m.new_var(d) for d in od]
             m.post(Cardinality(xs, values, occ))
             got = project(fixpoint(m), xs + occ)
-            assert got == reference(values, xd, od), (values, xd, od)
+            assert got == cardinality_reference(values, xd, od), (values, xd, od)
             failures += got is None
             pruned += got is not None and got[:n] != [d & set(values) for d in xd]
         assert 100 < failures < 700
         assert pruned > 100
+
+    def test_rank_tallies_on_negative_sparse_and_unlisted_values(self):
+        """Counted by rank, values renamed onto negative and sparse ones
+        (``7v - 10``), with a value off the list in some domains, reach the
+        reference fixpoint and never prune a supported assignment."""
+        import itertools
+        import random
+
+        rng = random.Random(43)
+        failures = pruned = 0
+        for _ in range(600):
+            n = rng.randint(1, 3)
+            values = sorted(rng.sample(range(4), rng.randint(1, 3)), reverse=True)
+            xd = [set(rng.sample(values + [4], rng.randint(1, len(values)))) for _ in range(n)]
+            od = [set(rng.sample(range(n + 1), rng.randint(1, n + 1))) for _ in values]
+            values, xd = [sparse(v) for v in values], [set(map(sparse, d)) for d in xd]
+            m = Model()
+            xs = [m.new_var(d) for d in xd]
+            occ = [m.new_var(d) for d in od]  # ids 0, 1, ... in this order
+            prop = Cardinality(xs, values, occ)
+            m.post(prop)
+            got = project(fixpoint(m), xs + occ)
+            assert got == cardinality_reference(values, xd, od), (values, xd, od)
+            for vals in itertools.product(*xd, *od):
+                if prop.check(vals):
+                    assert got and all(v in d for v, d in zip(vals, got)), (values, xd, od, vals)
+            failures += got is None
+            pruned += got is not None and got[:n] != [d & set(values) for d in xd]
+        assert 50 < failures < 550
+        assert pruned > 50
+
+    def test_conditional_body_counts_by_rank(self):
+        """A body attached at the root while its guards are open ranks the
+        values there; once the guards meet it reaches the reference fixpoint
+        on negative, sparse and unlisted values."""
+        import random
+
+        rng = random.Random(47)
+        failures = 0
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            values = sorted(rng.sample(range(4), rng.randint(1, 4)), reverse=True)
+            xd = [set(rng.sample(values + [4], rng.randint(1, len(values)))) for _ in range(n)]
+            od = [set(rng.sample(range(n + 1), rng.randint(n // 2 + 1, n + 1))) for _ in values]
+            values, xd = [sparse(v) for v in values], [set(map(sparse, d)) for d in xd]
+            m = Model()
+            ra, rb = m.new_var({0, 1}), m.new_var({0, 1})
+            xs = [m.new_var(d) for d in xd]
+            occ = [m.new_var(d) for d in od]
+            m.post(Conditional(ra, rb, Cardinality(xs, values, occ)))
+            solver = Solver(m)
+            assert solver.propagate_root()
+            assert [set(m.store.values(v)) for v in xs + occ] == xd + od  # guards open
+            m.store.push()
+            m.store.assign(ra, 1)
+            m.store.assign(rb, 1)
+            try:
+                solver.fixpoint()
+                got = [set(m.store.values(v)) for v in xs + occ]
+            except Inconsistent:
+                got = None
+            assert got == cardinality_reference(values, xd, od), (values, xd, od)
+            failures += got is None
+        assert 20 < failures < 280
 
     def test_value_list_must_decrease(self):
         s = Store()
@@ -346,6 +420,42 @@ class TestSortednessLink:
                 assert all(
                     s in doms[sx] for s, sx in zip(sort_desc(xv), sxs)
                 ), (xd, sd, xv)
+
+    def test_rank_tallies_on_negative_and_sparse_values(self):
+        """Renamed onto negative and sparse values (``7v - 10``), the channel
+        reaches the renamed fixpoint of the original values, as its rules
+        read only the order and the counts of the values, and never prunes a
+        supported value."""
+        import itertools
+        import random
+
+        from msetcp.order import sort_desc
+
+        def channel_fixpoint(xd, sd):
+            m = Model()
+            xs = [m.new_var(d) for d in xd]
+            sxs = [m.new_var(d) for d in sd]
+            m.post(SortednessLink(xs, sxs))
+            return project(fixpoint(m), xs + sxs)
+
+        rng = random.Random(53)
+        failures = pruned = 0
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            xd = [set(rng.sample(range(4), rng.randint(1, 3))) for _ in range(n)]
+            sd = [set(rng.sample(range(4), rng.randint(1, 4))) for _ in range(n)]
+            plain = channel_fixpoint(xd, sd)
+            xd, sd = [set(map(sparse, d)) for d in xd], [set(map(sparse, d)) for d in sd]
+            got = channel_fixpoint(xd, sd)
+            assert got == (plain and [set(map(sparse, d)) for d in plain]), (xd, sd)
+            for xv in itertools.product(*xd):
+                sv = sort_desc(xv)
+                if all(s in d for s, d in zip(sv, sd)):
+                    assert got and all(v in d for v, d in zip(xv + sv, got)), (xd, sd, xv)
+            failures += got is None
+            pruned += got is not None and got != xd + sd
+        assert 20 < failures < 280
+        assert pruned > 20
 
 
 @pytest.mark.parametrize("encoding", ["gcc", "sort"])
@@ -536,6 +646,56 @@ def test_aliased_variables_reach_own_fixpoint(case):
             assert not Solver(fresh)._idempotent[0], (case, prop.__dict__)
             resumed += 1
     assert resumed > 0
+
+
+def _random_sortedness(rng, store):
+    n = rng.randint(1, 4)
+    xs = [store.new_var(rng.sample(range(5), rng.randint(1, 3))) for _ in range(n)]
+    sxs = [store.new_var(rng.sample(range(5), rng.randint(1, 4))) for _ in range(n)]
+    return SortednessLink(xs, sxs)
+
+
+def _random_mset(cls):
+    def build(rng, store):
+        n = rng.randint(1, 4)
+        xs, ys = (
+            [store.new_var(rng.sample(range(5), rng.randint(1, 3))) for _ in range(n)]
+            for _ in range(2)
+        )
+        return cls(xs, ys, strict=rng.random() < 0.5)
+
+    return build
+
+
+# case -> random instance builder whose propagator makes its own bound cuts
+BOUND_CUT_CASES = {
+    "lex": _random_lex(False),
+    "lex-strict": _random_lex(True),
+    "less-than": _random_less_than,
+    "sortedness": _random_sortedness,
+    "mset": _random_mset(MultisetOrdering),
+    "mset-sorted": _random_mset(SortedMultisetOrdering),
+    "mset-stateless": _random_mset(StatelessMultisetOrdering),
+}
+
+
+@pytest.mark.parametrize("case", list(BOUND_CUT_CASES))
+def test_bound_cuts_move_a_bound(case):
+    """Every ``set_max``/``set_min`` these filters make at a fixpoint moves a
+    bound (or fails): a cut that would leave the bound in place is skipped."""
+    import random
+
+    build = BOUND_CUT_CASES[case]
+    rng = random.Random(case)
+    cuts = 0
+    for _ in range(1500):
+        m = Model()
+        m.store = CutRecordingStore()
+        m.post(build(rng, m.store))
+        fixpoint(m)
+        assert all(changed for *_, changed in m.store.cuts), (case, m.store.cuts)
+        cuts += len(m.store.cuts)
+    assert cuts > 300
 
 
 class TestArithmeticMultiset:

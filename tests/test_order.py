@@ -7,8 +7,7 @@ from typing import Iterable
 import pytest
 from hypothesis import given, strategies as st
 
-from msetcp.mset import _rank_map
-from msetcp.order import Ordering, lex_cmp, mset_cmp, sort_desc
+from msetcp.order import Ordering, lex_cmp, mset_cmp, rank_map, sort_desc
 from msetcp.store import Store
 
 short_vec = st.lists(st.integers(0, 5), min_size=0, max_size=6)
@@ -137,7 +136,7 @@ def normalize_values(domains):
     """The filters' rank map over ``domains``, plus the renamed domains."""
     s = Store()
     vs = [s.new_var(d) for d in domains]
-    ranks, unrank = _rank_map(map(s.values, vs))
+    ranks, unrank = rank_map(map(s.values, vs))
     assert [ranks[v] for v in unrank] == list(range(len(unrank)))
     return ranks, [tuple(ranks[v] for v in s.values(x)) for x in vs]
 
