@@ -284,9 +284,10 @@ def post_conditional_mset(
     ys: Sequence[int],
     cfg: RunConfig,
 ) -> None:
-    """Conditional multiset ordering: the body is one propagator, attached at
-    the root, so the dedicated filters and the arithmetic encoding qualify
-    and the decompositions, which need several, are rejected."""
+    """Conditional multiset ordering: the body is one propagator, attached
+    when the solver is built, so the dedicated filters and the arithmetic
+    encoding qualify and the decompositions, which need several, are
+    rejected."""
     if cfg.encoding in ("algorithm", "algorithm-sorted"):
         body = StatelessMultisetOrdering(xs, ys)
     elif cfg.encoding == "arith":
@@ -298,8 +299,9 @@ def post_conditional_mset(
     model.post(Conditional(guard_a, guard_b, body))
 
 
-def _post_ordering(model, xs, ys, kind: str, cfg: RunConfig) -> None:
-    """kind: msetle | msetge | lexlt | lexgt."""
+def _post_ordering(model, xs, ys, kind: str, cfg: RunConfig) -> int:
+    """kind: msetle | msetge | lexlt | lexgt.  The number of multiset
+    orderings posted: 1 for an mset kind, else 0."""
     if kind == "msetle":
         post_mset_ordering(model, xs, ys, False, cfg)
     elif kind == "msetge":
@@ -310,6 +312,7 @@ def _post_ordering(model, xs, ys, kind: str, cfg: RunConfig) -> None:
         model.post(LexOrdering(ys, xs, strict=True))
     else:
         raise SchemaError(f"unknown ordering kind {kind!r}")
+    return int(kind.startswith("mset"))
 
 
 _PARTY_SYMMETRY_MAP = {
@@ -372,6 +375,7 @@ def build_progressive_party(instance: dict, cfg: RunConfig) -> BuiltModel:
             m.post(MeetOnce([H[i][j1] for i in range(p)], [H[i][j2] for i in range(p)]))
 
     row_kind, col_kind = _PARTY_SYMMETRY_MAP[cfg.symmetry]
+    msets = 0  # multiset orderings posted
     # with a single period, equal-crew guests may legitimately take identical
     # rows (they meet just once), so strict orderings would cut solutions
     if p < 2 and row_kind in ("lexlt", "lexgt"):
@@ -381,19 +385,19 @@ def build_progressive_party(instance: dict, cfg: RunConfig) -> BuiltModel:
             if crew[j] == crew[j + 1]:
                 row_a = [H[i][j] for i in range(p)]
                 row_b = [H[i][j + 1] for i in range(p)]
-                _post_ordering(m, row_a, row_b, row_kind, cfg)
+                msets += _post_ordering(m, row_a, row_b, row_kind, cfg)
     if col_kind:
         for i in range(p - 1):
             col_a = H[i]
             col_b = H[i + 1]
-            _post_ordering(m, col_a, col_b, col_kind, cfg)
+            msets += _post_ordering(m, col_a, col_b, col_kind, cfg)
 
     if cfg.labelling == "row-wise":
         order = [H[i][j] for j in range(g) for i in range(p)]
     else:
         order = [H[i][j] for i in range(p) for j in range(g)]
     by_spare = Branching.by_key(order, lambda var, val: -spare[val])
-    return BuiltModel(m, by_spare, {"hosts": h, "guests": g, "H": H})
+    return BuiltModel(m, by_spare, {"hosts": h, "guests": g, "H": H, "mset_orderings": msets})
 
 
 # -- rack configuration --------------------------------------------------------------
@@ -453,11 +457,11 @@ def build_rack(instance: dict, cfg: RunConfig) -> BuiltModel:
     m.post(LinearSum([1] * r + [-1], price + [obj], "==", 0))
     m.minimize(obj)
 
-    if cfg.symmetry == "mset":
-        for j in range(r - 1):
-            post_conditional_mset(
-                m, R[j], R[j + 1], [C[i][j] for i in range(t)], [C[i][j + 1] for i in range(t)], cfg
-            )
+    pairs = range(r - 1) if cfg.symmetry == "mset" else range(0)
+    for j in pairs:
+        post_conditional_mset(
+            m, R[j], R[j + 1], [C[i][j] for i in range(t)], [C[i][j + 1] for i in range(t)], cfg
+        )
 
     # all rack models first, so the cost bound and capacity aggregates prune
     # whole configurations before any card packing is attempted
@@ -477,7 +481,8 @@ def build_rack(instance: dict, cfg: RunConfig) -> BuiltModel:
             return vals[::-1]
         return vals
 
-    return BuiltModel(m, Branching(order, value_order), {"R": R, "C": C, "objective": obj})
+    meta = {"R": R, "C": C, "objective": obj, "mset_orderings": len(pairs)}
+    return BuiltModel(m, Branching(order, value_order), meta)
 
 
 # -- sport scheduling ----------------------------------------------------------------
@@ -542,9 +547,11 @@ def build_sport(instance: dict, cfg: RunConfig) -> BuiltModel:
     # only the real weeks are interchangeable (the dummy week, if any, is
     # pinned by the period counts), so ordering chains stop before it
     cols = [[T[j][w][s] for j in range(periods) for s in range(2)] for w in range(real_weeks)]
+    msets = 0  # multiset orderings posted
     for col_a, col_b in zip(cols, cols[1:]):
         if cfg.symmetry == "mset":
             post_mset_ordering(m, col_a, col_b, True, cfg)
+            msets += 1
         elif cfg.symmetry == "lex":
             m.post(LexOrdering(col_a, col_b, strict=True))
 
@@ -553,7 +560,8 @@ def build_sport(instance: dict, cfg: RunConfig) -> BuiltModel:
         first, second = (0, 1) if w % 2 == 0 else (1, 0)
         order.extend(T[j][w][first] for j in range(periods))
         order.extend(T[j][w][second] for j in range(periods))
-    return BuiltModel(m, Branching(order), {"T": T, "G": G, "periods": periods})
+    meta = {"T": T, "G": G, "periods": periods, "mset_orderings": msets}
+    return BuiltModel(m, Branching(order), meta)
 
 
 # -- harness ---------------------------------------------------------------------------
@@ -562,9 +570,9 @@ def build_sport(instance: dict, cfg: RunConfig) -> BuiltModel:
 def build(instance: dict, cfg: RunConfig) -> BuiltModel:
     """The model of ``instance`` under ``cfg``.  Refuses an option that would
     reach nothing in it: a labelling outside party, an encoding other than the
-    default under a symmetry that posts no multiset ordering, or entailment
-    where no :class:`MultisetOrdering`, the one filter that tracks it, is
-    posted."""
+    default where no multiset ordering is posted (the builders count them in
+    ``meta["mset_orderings"]``), or entailment where no
+    :class:`MultisetOrdering`, the one filter that tracks it, is posted."""
     problem = instance["problem"]
     if problem != "progressive_party" and cfg.labelling != "row-wise":
         raise SchemaError(f"{problem} has one variable order; --labelling applies to party")
@@ -574,11 +582,12 @@ def build(instance: dict, cfg: RunConfig) -> BuiltModel:
         built = build_rack(instance, cfg)
     else:
         built = build_sport(instance, cfg)
-    # the builders have refused an unknown symmetry; the default encoding
-    # passes, as a config cannot tell it from a user's choice
-    if cfg.encoding != "algorithm" and cfg.symmetry in ("none", "lex"):
+    # the default encoding passes, as a config cannot tell it from a user's
+    # choice
+    if cfg.encoding != "algorithm" and not built.meta["mset_orderings"]:
         raise SchemaError(
-            f"symmetry {cfg.symmetry!r} posts no multiset ordering, so --encoding would do nothing"
+            f"symmetry {cfg.symmetry!r} posts no multiset ordering on this instance, "
+            "so --encoding would do nothing"
         )
     props = built.model.propagators
     if cfg.entailment and not any(isinstance(p, MultisetOrdering) for p in props):

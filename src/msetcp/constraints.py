@@ -38,16 +38,14 @@ import functools
 import linecache
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain
-from operator import itemgetter
 from typing import Sequence
 
 from .engine import Propagator, Status
-from .mset import MultisetPair
+from .mset import MultisetPair, _high, _low
 from .mset import StatelessMultisetOrdering  # re-exported beside Conditional, its host
 from .order import Ordering, lex_cmp, rank_map, sort_desc
 from .store import EventKind, Inconsistent, Store
 
-_low, _high = itemgetter(0), itemgetter(-1)  # the bounds of a domain tuple
 _NEVER = (0,)  # the count domain of a value that no variable may take
 
 
@@ -133,9 +131,9 @@ def _tally(
     """``(fixed, free)``, two count lists indexed by rank: per value, how many
     of ``doms`` are fixed to it and how many unfixed ones still hold it.
     ``rank`` maps every value of ``doms`` onto ``0..d-1``; the filters build
-    it at the root, and as domains only shrink it stays valid for the whole
-    search.  Only counts are kept; :func:`_settle` finds the holders of a
-    value in ``doms`` when it needs them."""
+    it in ``attach``, before any pruning, and as domains only shrink it stays
+    valid for the whole search.  Only counts are kept; :func:`_settle` finds
+    the holders of a value in ``doms`` when it needs them."""
     fixed = [0] * d
     free = [0] * d
     for dom in doms:
@@ -177,7 +175,7 @@ class Cardinality(Propagator):
     per call: the engine re-runs it on its own events (it is not idempotent,
     since a forced or forbidden value changes the counts of other values).
 
-    ``attach`` ranks the values of the domains and of the list at the root,
+    ``attach`` ranks the values of the declared domains and of the list,
     from the largest down, the order of the list.  A call reads every
     variable's domain and every ``occ`` domain once each, counts into lists
     indexed by rank (:func:`_tally`), and settles each value in one loop over
@@ -201,8 +199,8 @@ class Cardinality(Propagator):
         self._slots: list[int] = []
 
     def attach(self, store: Store) -> None:
-        # attach runs at the root and domains only shrink from there, so
-        # every value a domain holds later has its rank now
+        # attach runs before any pruning and domains only shrink from there,
+        # so every value a domain holds later has its rank now
         rank, unrank = rank_map(chain(store.domains(self.xs), [self.vals]))
         top = len(unrank) - 1
         self._rank = {val: top - r for val, r in rank.items()}
@@ -266,8 +264,9 @@ class SortednessLink(Propagator):
     it, raises it to the k-th largest min and to the floors after it, and
     cuts a bound only when that moves it; ``sxs`` is read again only after
     such a cut, so the counts see what it left.  The counts go into lists
-    indexed by the ranks that ``attach`` gives the values of both sides at
-    the root (:func:`_tally`), and one loop over the ranks settles each value.
+    indexed by the ranks that ``attach`` gives the values of both sides'
+    declared domains (:func:`_tally`), and one loop over the ranks settles
+    each value.
     """
 
     def __init__(self, xs: Sequence[int], sxs: Sequence[int]) -> None:
@@ -279,7 +278,7 @@ class SortednessLink(Propagator):
         self._unrank: list[int] = []
 
     def attach(self, store: Store) -> None:
-        # domains only shrink after the root, so every later value has a rank
+        # domains only shrink after attach, so every later value has a rank
         self._rank, self._unrank = rank_map(chain(store.domains(self.xs), store.domains(self.sxs)))
 
     def subscriptions(self):
@@ -334,12 +333,13 @@ class ArithmeticMultiset(MultisetPair):
     between the two weight sums (strict with ``strict``).  Bounds consistency
     on the sums is established with arbitrary-precision arithmetic; for this
     encoding it prunes exactly as much as GAC on the multiset ordering, so the
-    two produce identical search trees.  Requires non-negative values and a
-    base that keeps the sums exact: ``base >= max(2, n)`` for two vectors of
-    length ``n`` (``n`` copies of ``v`` weigh as much as one ``v + 1`` only
-    when they fill a whole vector, and then the other vector's remaining
-    elements break the tie), and a base above both lengths otherwise; such a
-    base makes the inherited multiset ``check`` agree with the weight sums.
+    two produce identical search trees.  Requires declared domains of
+    non-negative values (``attach`` refuses others) and a base that keeps
+    the sums exact: ``base >= max(2, n)`` for two vectors of length ``n``
+    (``n`` copies of ``v`` weigh as much as one ``v + 1`` only when they
+    fill a whole vector, and then the other vector's remaining elements
+    break the tie), and a base above both lengths otherwise; such a base
+    makes the inherited multiset ``check`` agree with the weight sums.
     """
 
     def __init__(
@@ -357,7 +357,8 @@ class ArithmeticMultiset(MultisetPair):
         vs = self.xs + self.ys
         if any(store.min(v) < 0 for v in vs):
             raise ValueError("arithmetic encoding requires non-negative values")
-        # domains only shrink after set-up, so the table covers every weight
+        # set up on the declared domains, which only shrink from there, so
+        # the table covers every weight
         top = max((store.max(v) for v in vs), default=0)
         self._powers = [self.base**k for k in range(top + 1)]
 
@@ -816,11 +817,10 @@ class Conditional(Propagator):
 
     While the guards are undecided nothing is filtered; once they are proven
     different the wrapper is entailed.  Attaching the wrapper attaches the
-    body at the root, where the domains are widest, so its set-up
-    (validation, incremental state, watchers) is done before its
-    ``propagate`` first runs at whatever depth the guards meet.  A body's own
-    ``post`` is not run, so all of a body's pruning must be in ``propagate``,
-    as it is in every propagator here.
+    body, when the solver is built and on the declared domains, so its
+    set-up (validation, incremental state, watchers) is done, and a refused
+    one fails, even where the guards never meet; the body's ``propagate``
+    first runs at whatever depth they do.
     """
 
     def __init__(self, guard_a: int, guard_b: int, body: Propagator) -> None:

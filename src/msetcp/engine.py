@@ -1,7 +1,9 @@
 """Constraint network and search: fixpoint loop, DFS labelling, branch and bound.
 
 Propagators subscribe to variable events through an int mask; the fixpoint
-loop is a FIFO queue with per-propagator deduplication.  The solver registers
+loop is a FIFO queue with per-propagator deduplication, and only propagates:
+the solver attaches every propagator, in post order, when it is built, so a
+set-up that refuses its input fails the construction.  The solver registers
 the subscriptions on the model's store and hands it the queue, so every
 shrink queues its subscribers itself, in the order the events are raised and
 each variable's subscribers in post order (the queued flag drops repeated
@@ -47,18 +49,17 @@ class SearchTimeout(Exception):
 class Propagator:
     """One constraint's filtering algorithm.
 
-    ``post`` runs once when the network starts up: it is ``attach``
-    followed by ``propagate``.  ``attach`` is the one-off set-up (state
-    allocation, watcher registration, input validation) and prunes nothing,
-    so every pruning a constraint makes is in ``propagate``, which
-    :class:`~msetcp.constraints.Conditional` runs on its body without
-    ``post``.
-    ``propagate`` is re-run whenever a subscribed event fires.  Both ``post``
-    and ``propagate`` raise :class:`Inconsistent` on disentailment.  ``check``
-    is the ground-level semantic test used to verify emitted solutions
-    independently.
+    ``attach`` is the one-off set-up (state allocation, watcher
+    registration, input validation) and prunes nothing; :class:`Solver`
+    runs it for every propagator when it is built, and from then on calls
+    only ``propagate``, from the root queue and whenever a subscribed event
+    fires.  ``post`` (``attach``, then ``propagate``) is the stand-alone
+    entry on a bare store, which the engine never calls, so every pruning
+    a constraint makes is in ``propagate``.  Both raise
+    :class:`Inconsistent` on disentailment.  ``check`` is the ground-level
+    semantic test used to verify emitted solutions independently.
 
-    ``idempotent`` declares that one ``propagate`` (or ``post``) always leaves
+    ``idempotent`` declares that one ``propagate`` always leaves
     the propagator at its own fixpoint: run again at once, it would change no
     domain and raise nothing.  The engine then does not re-queue it on the
     events of its own call.  Declare it on the class, and only when it holds
@@ -89,7 +90,7 @@ class Propagator:
 class Model:
     """Variable declarations plus posted propagators and an optional objective.
 
-    One :class:`Solver` runs a model: it posts the propagators on the
+    One :class:`Solver` runs a model: it attaches the propagators to the
     model's store, so the model cannot be handed to a second one.
     """
 
@@ -146,7 +147,7 @@ class Solver:
     """Propagation network over one model; drives fixpoint and search."""
 
     def __init__(self, model: Model) -> None:
-        # a second network would post every propagator again on the same
+        # a second network would attach every propagator again on the same
         # store, so a dedicated filter would watch its variables twice and
         # count every bound change twice
         if model._taken:
@@ -168,9 +169,11 @@ class Solver:
             if var not in range(self.store.num_vars()):
                 name = type(self.props[subs[0][0]]).__name__
                 raise ValueError(f"{name} subscribes to variable {var}, which the store lacks")
+        # taken first: a refused set-up may already have registered watchers
         model._taken = True
+        for prop in self.props:
+            prop.attach(self.store)
         self._active = [True] * n
-        self._posted = [False] * n
         self._queue: deque[int] = deque(range(n))
         self._queued = [True] * n
         self.store.dispatch_to(by_var, self._active, self._queued, self._queue.append)
@@ -200,7 +203,7 @@ class Solver:
         store = self.store
         queue = self._queue
         popleft = queue.popleft
-        props, active, posted = self.props, self._active, self._posted
+        props, active = self.props, self._active
         queued, idempotent = self._queued, self._idempotent
         entailed = Status.ENTAILED
         try:
@@ -212,13 +215,7 @@ class Solver:
                 idem = idempotent[idx]
                 if not idem:
                     queued[idx] = False
-                prop = props[idx]
-                if posted[idx]:
-                    status = prop.propagate(store)
-                else:
-                    posted[idx] = True
-                    status = prop.post(store)
-                if status is entailed:
+                if props[idx].propagate(store) is entailed:
                     self._deactivate(idx)
                 if idem:
                     queued[idx] = False
@@ -385,5 +382,5 @@ class Solver:
 
 
 def propagate_to_fixpoint(model: Model) -> bool:
-    """Post everything and propagate once; False when the root fails."""
+    """Attach everything and propagate once; False when the root fails."""
     return Solver(model).propagate_root()

@@ -37,6 +37,22 @@ def data_instance(name: str) -> dict:
     return load_instance(data_path(name))
 
 
+# party_toy with guests of distinct crew sizes: mset-rows orders no row pair
+PARTY_DISTINCT_CREWS = {
+    "problem": "progressive_party",
+    "periods": 2,
+    "hosts": [{"capacity": 4, "crew": 2}, {"capacity": 4, "crew": 2}],
+    "guests": [{"crew": 1}, {"crew": 2}],
+}
+# one rack: no adjacent pair for rack's conditional orderings
+ONE_RACK = {
+    "problem": "rack",
+    "racks": 1,
+    "rack_models": [{"power": 150, "connectors": 8, "price": 150}],
+    "card_types": [{"power": 20, "demand": 2}],
+}
+
+
 class TestInstanceLoading:
     def test_boats_table(self):
         boats = load_boats()
@@ -714,17 +730,27 @@ class TestCli:
             ("party", "party_toy.json", "none", "algorithm-sorted"),
             ("party", "party_toy.json", "lex", "sort"),
             ("rack", "rack_1.json", "none", "arith"),
+            pytest.param("party", PARTY_DISTINCT_CREWS, "mset-rows", "gcc", id="party-distinct"),
+            pytest.param("rack", ONE_RACK, "mset", "gcc", id="rack-one-gcc"),
+            pytest.param("rack", ONE_RACK, "mset", "arith", id="rack-one-arith"),
         ],
     )
     def test_encoding_without_a_multiset_ordering_exit_two(
-        self, problem, instance, symmetry, encoding, capsys
+        self, problem, instance, symmetry, encoding, tmp_path, capsys
     ):
-        """A symmetry that posts no multiset ordering leaves an encoding
-        nothing to do, so any but the default is refused."""
+        """Where no multiset ordering is posted, an encoding has nothing to
+        do, so any but the default is refused: under a symmetry that posts
+        none, and on an instance where the symmetry finds no pair to order
+        (no two adjacent guests share a crew size, or a single rack)."""
+        if isinstance(instance, dict):
+            path = tmp_path / "instance.json"
+            path.write_text(json.dumps(instance))
+        else:
+            path = data_path(instance)
         code = main(
             [
                 "--problem", problem,
-                "--instance", data_path(instance),
+                "--instance", str(path),
                 "--symmetry", symmetry,
                 "--encoding", encoding,
             ]

@@ -12,8 +12,10 @@ from msetcp import oracle
 from msetcp.bench import RunConfig, build, load_instance, run
 from msetcp.constraints import (
     AllDifferent,
+    ArithmeticMultiset,
     Cardinality,
     Conditional,
+    HostCapacity,
     LessThan,
     LinearSum,
     TableConstraint,
@@ -196,6 +198,85 @@ class TestFixpoint:
         assert sol == [0, 1]
 
 
+class SetUpSpy(Propagator):
+    """Logs its ``attach``, ``post`` and ``propagate`` calls by name and
+    prunes nothing."""
+
+    def __init__(self, log, name, var):
+        self.log, self.name, self.var = log, name, var
+
+    def subscriptions(self):
+        yield self.var, EventKind.ANY
+
+    def attach(self, store):
+        self.log.append(("attach", self.name))
+
+    def post(self, store):
+        self.log.append(("post", self.name))
+        return super().post(store)
+
+    def propagate(self, store):
+        self.log.append(("propagate", self.name))
+        return Status.ACTIVE
+
+    def check(self, values):
+        return True
+
+
+class TestSetUp:
+    """The solver attaches every propagator when it is built, so a set-up
+    that refuses its input fails there, judged on the declared domains."""
+
+    def test_refused_host_range_refuses_the_solver(self):
+        """It used to be refused by the first ``propagate_root`` alone: a
+        second one succeeded without set-up, and ``solve`` returned host -1,
+        which ``check`` read as the last host."""
+        m = Model()
+        h = m.new_var([-1, 0])
+        m.post(HostCapacity([h], [3], [1, 5]))
+        with pytest.raises(ValueError, match="host variables must range over 0..1"):
+            Solver(m)
+        with pytest.raises(ValueError, match="already has a Solver"):
+            Solver(m)
+
+    @pytest.mark.parametrize("pruned_first", [False, True])
+    def test_negative_arithmetic_values_refused_whatever_the_post_order(self, pruned_first):
+        """A sum posted before the encoding used to cut the negative values
+        before its set-up ran, and the model was accepted; without it, the
+        same model was refused (and a retry raised IndexError)."""
+        m = Model()
+        xs = [m.new_var(range(-1, 3)) for _ in range(2)]
+        ys = [m.new_var(range(3)) for _ in range(2)]
+        if pruned_first:
+            m.post(LinearSum([-1, -1], xs, "<=", -4))  # leaves xs at 2
+        m.post(ArithmeticMultiset(xs, ys, base=2))
+        with pytest.raises(ValueError, match="non-negative"):
+            Solver(m)
+
+    def test_every_attach_runs_once_in_post_order_before_any_propagate(self):
+        log = []
+        m = Model()
+        x = m.new_var(range(3))
+        for name in "abc":
+            m.post(SetUpSpy(log, name, x))
+        s = Solver(m)
+        assert log == [("attach", "a"), ("attach", "b"), ("attach", "c")]
+        sol, _ = s.solve(Branching([x]))
+        assert sol == [0]
+        assert log[3:6] == [("propagate", "a"), ("propagate", "b"), ("propagate", "c")]
+        assert {call for call, _ in log[3:]} == {"propagate"}
+
+    def test_conditional_body_attached_though_its_guards_never_meet(self):
+        log = []
+        m = Model()
+        g1, g2, x = m.new_var([0]), m.new_var([1]), m.new_var(range(3))
+        m.post(Conditional(g1, g2, SetUpSpy(log, "body", x)))
+        s = Solver(m)
+        assert log == [("attach", "body")]
+        assert s.solve(Branching([x]))[0] is not None
+        assert log == [("attach", "body")]
+
+
 class EvenCap(Propagator):
     """Spy: caps ``x`` at its largest even value, so each of its calls may
     prune ``x`` and a second call in a row never does."""
@@ -290,8 +371,8 @@ class ReferenceEngine:
     """The engine's former dispatch, kept as a reference: it runs over a
     :class:`RecordingStore` that no solver owns, and after every propagator
     call it drains the recorded shrinks and wakes the subscribers it finds
-    in a dict.  Queue discipline, idempotence and
-    entailment are the solver's."""
+    in a dict.  Set-up (every ``attach`` when it is built), queue
+    discipline, idempotence and entailment are the solver's."""
 
     def __init__(self, model):
         self.store = model.store
@@ -304,8 +385,8 @@ class ReferenceEngine:
             for var, mask in subs:
                 self.subs.setdefault(var, []).append((idx, mask))
             self.idempotent.append(prop.idempotent and len(dict(subs)) == len(subs))
+            prop.attach(self.store)
         self.active = [True] * n
-        self.posted = [False] * n
         self.queue = deque(range(n))
         self.queued = [True] * n
 
@@ -328,13 +409,7 @@ class ReferenceEngine:
                 idem = self.idempotent[idx]
                 if not idem:
                     queued[idx] = False
-                prop = self.props[idx]
-                if self.posted[idx]:
-                    status = prop.propagate(store)
-                else:
-                    self.posted[idx] = True
-                    status = prop.post(store)
-                if status is Status.ENTAILED:
+                if self.props[idx].propagate(store) is Status.ENTAILED:
                     active[idx] = False
                     store.trail_undo(partial(active.__setitem__, idx, True))
                 self.wake(store.drain())
@@ -352,8 +427,8 @@ class ReferenceEngine:
 def random_model(seed, store=None):
     """A small model mixing the engine's subscription masks, over ``store``
     when given, and the log its propagators append (call, index) pairs to,
-    one per ``post`` or ``propagate`` call (a default ``post`` logs its
-    ``propagate`` too)."""
+    one per ``post`` or ``propagate`` call.  Neither engine calls ``post``,
+    so a ``post`` entry in one log alone fails the comparison."""
     rng = random.Random(seed)
     m = Model()
     if store is not None:
