@@ -38,6 +38,7 @@ from .mset import MultisetOrdering, SortedMultisetOrdering
 
 PROBLEMS = ("progressive_party", "rack", "sport")
 ENCODINGS = ("algorithm", "algorithm-sorted", "gcc", "sort", "arith")
+LABELLINGS = ("row-wise", "column-wise")
 
 
 class SchemaError(Exception):
@@ -64,7 +65,7 @@ class RunConfig:
             raise SchemaError(f"timeout must be a number, not {self.timeout!r}")
         if self.encoding not in ENCODINGS:
             raise SchemaError(f"unknown encoding {self.encoding!r}")
-        if self.labelling not in ("row-wise", "column-wise"):
+        if self.labelling not in LABELLINGS:
             raise SchemaError(f"unknown labelling {self.labelling!r}")
         # NaN fails both comparisons
         if self.timeout is not None and not 0 < self.timeout < math.inf:

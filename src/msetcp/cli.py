@@ -1,10 +1,12 @@
-"""``bench``: run one benchmark (problem, instance, config) and report stats.
+"""``bench``: run one benchmark (instance, config) and report stats.
 
-Prints a human-readable line plus the machine-readable JSON record to stdout;
-``--stats-json PATH`` additionally appends the JSON record to a file, which is
-opened once the instance and options are checked and before the run.  Exit
-codes: 0 on solved/unsat, 1 on timeout, 2 on schema or configuration errors
-and when the ``--stats-json`` file cannot be opened.
+The instance's ``problem`` field picks the model; every option left out takes
+its :class:`~msetcp.bench.RunConfig` default.  Prints a human-readable line
+plus the machine-readable JSON record to stdout; ``--stats-json PATH``
+additionally appends the JSON record to a file, which is opened once the
+instance is checked and before the run.  Exit codes: 0 on solved/unsat, 1 on
+timeout, 2 on schema or configuration errors and when the ``--stats-json``
+file cannot be opened.
 """
 
 from __future__ import annotations
@@ -15,38 +17,26 @@ import sys
 from contextlib import nullcontext
 from typing import Optional, Sequence, TextIO
 
-from .bench import ENCODINGS, RunConfig, SchemaError, load_instance, run
-
-_PROBLEM_ALIASES = {
-    "party": "progressive_party",
-    "progressive_party": "progressive_party",
-    "rack": "rack",
-    "sport": "sport",
-}
+from .bench import ENCODINGS, LABELLINGS, RunConfig, SchemaError, load_instance, run
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # an option left out is left out of the parsed namespace, so RunConfig
+    # alone holds each default
     parser = argparse.ArgumentParser(
         prog="bench",
         description="Benchmark harness for the multiset ordering propagators.",
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument(
-        "--problem",
-        required=True,
-        choices=sorted(_PROBLEM_ALIASES),
-        help="problem family; must match the instance file",
+        "--instance", required=True, help="instance JSON file; its problem field picks the model"
     )
-    parser.add_argument("--instance", required=True, help="instance JSON file")
     parser.add_argument(
         "--symmetry",
-        default="none",
         help="which ordering constraints to post (e.g. none, mset, lex, mset-rows, lex+mset)",
     )
     parser.add_argument(
-        "--encoding",
-        default="algorithm",
-        choices=ENCODINGS,
-        help="how multiset orderings are propagated",
+        "--encoding", choices=ENCODINGS, help="how multiset orderings are propagated"
     )
     parser.add_argument(
         "--entailment",
@@ -54,39 +44,28 @@ def build_parser() -> argparse.ArgumentParser:
         help="track entailment in the dedicated filter (refused where none is posted)",
     )
     parser.add_argument(
-        "--labelling",
-        default="row-wise",
-        choices=["row-wise", "column-wise"],
-        help="static variable order (progressive party)",
+        "--labelling", choices=LABELLINGS, help="static variable order (progressive party)"
     )
-    parser.add_argument("--timeout", type=float, default=None, help="search budget in seconds")
-    parser.add_argument("--stats-json", default=None, help="append the JSON record to this file")
+    parser.add_argument("--timeout", type=float, help="search budget in seconds")
+    parser.add_argument("--stats-json", help="append the JSON record to this file")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    options = vars(build_parser().parse_args(argv))
+    path = options.pop("instance")
+    stats_json = options.pop("stats_json", None)
+    cfg = RunConfig(**options)
     try:
-        instance = load_instance(args.instance)
-        if instance["problem"] != _PROBLEM_ALIASES[args.problem]:
-            raise SchemaError(
-                f"--problem {args.problem} does not match instance "
-                f"problem {instance['problem']!r}"
-            )
-        cfg = RunConfig(
-            symmetry=args.symmetry,
-            encoding=args.encoding,
-            entailment=args.entailment,
-            labelling=args.labelling,
-            timeout=args.timeout,
-        )
+        instance = load_instance(path)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # opened after the checks above, so a refused instance leaves no file, and
-    # before the run, so a path that cannot take the record costs no search
+    # opened after the instance is checked, so a refused instance leaves no
+    # file, and before the run, so a path that cannot take the record costs
+    # no search
     try:
-        sink = open(args.stats_json, "a") if args.stats_json else nullcontext()
+        sink = open(stats_json, "a") if stats_json else nullcontext()
     except OSError as exc:
         print(f"error: cannot open --stats-json file: {exc}", file=sys.stderr)
         return 2

@@ -703,7 +703,7 @@ class HostCapacity(Propagator):
         for dom, c in zip(doms, self.crew):
             if len(dom) == 1:
                 room[dom[0]] -= c
-        if min(room) < 0:
+        if min(room, default=0) < 0:
             raise Inconsistent("host capacity exceeded")
         for x, dom, c in zip(self.hs, doms, self.crew):
             if len(dom) > 1 and any(room[k] < c for k in dom):
@@ -714,7 +714,7 @@ class HostCapacity(Propagator):
         room = list(self.spare)
         for x, c in zip(self.hs, self.crew):
             room[values[x]] -= c
-        return min(room) >= 0
+        return min(room, default=0) >= 0
 
 
 class MeetOnce(Propagator):

@@ -301,6 +301,9 @@ class Solver:
         Raises :class:`SearchTimeout` when the time budget runs out, and
         ValueError, before any search, on a NaN budget, which never would, or
         on a branching or objective variable that the store does not hold.
+        Every exit, by a return or by an exception (the deadline's, or one
+        raised by the value order), leaves the store at the depth it had on
+        entry, so a later ``solve`` starts from the same domains.
         """
         if timeout is not None and math.isnan(timeout):
             raise ValueError("timeout is NaN")
@@ -312,17 +315,16 @@ class Solver:
             if var not in held:
                 raise ValueError(f"branching names variable {var!r}, which the store lacks")
         stats = self.stats
+        store = self.store
         order = self._full_order(branching)
-        if minimize is not None and minimize not in order:
-            order.append(minimize)
         self._deadline = None if timeout is None else time.monotonic() + timeout
         best_sol: Optional[list[int]] = None
         bound: Optional[int] = None
         start = time.monotonic()
+        depth = store.depth()
         try:
             if not self.propagate_root():
                 return None, stats
-            store = self.store
             value_order = branching.value_order
             is_fixed = store.is_fixed
             n = len(order)
@@ -358,8 +360,6 @@ class Solver:
                             bound = sol[minimize]
                             stats.best_objective = bound
                         if minimize is None or first_only:
-                            for _ in stack:
-                                store.pop()
                             return best_sol, stats
                 if not opened:
                     if not stack:
@@ -378,6 +378,10 @@ class Solver:
                     break
             return best_sol, stats
         finally:
+            # a first solution, or an exception that stops the search, leaves
+            # the checkpoints of the open branch
+            while store.depth() > depth:
+                store.pop()
             stats.wall_time = time.monotonic() - start
 
 

@@ -6,8 +6,10 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -35,6 +37,13 @@ def data_path(name: str) -> str:
 
 def data_instance(name: str) -> dict:
     return load_instance(data_path(name))
+
+
+def case_id(value) -> Optional[str]:
+    """Test id of a shipped instance file: its family, then its name."""
+    if isinstance(value, str) and value.endswith(".json"):
+        return f"{value.split('_')[0]}-{value}"
+    return None
 
 
 # party_toy with guests of distinct crew sizes: mset-rows orders no row pair
@@ -574,7 +583,6 @@ class TestCli:
         stats = tmp_path / "stats.jsonl"
         code = main(
             [
-                "--problem", "sport",
                 "--instance", data_path("sport_n5.json"),
                 "--symmetry", "mset",
                 "--stats-json", str(stats),
@@ -598,7 +606,6 @@ class TestCli:
         monkeypatch.setattr("msetcp.cli.run", lambda *args: runs.append(args))
         code = main(
             [
-                "--problem", "sport",
                 "--instance", data_path("sport_n5.json"),
                 "--stats-json", str(stats),
             ]
@@ -613,20 +620,16 @@ class TestCli:
     def test_schema_error_exit_two_no_stdout(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        code = main(["--problem", "sport", "--instance", str(bad)])
+        code = main(["--instance", str(bad)])
         assert code == 2
         assert capsys.readouterr().out == ""
 
     def test_instance_schema_error_leaves_no_stats_file(self, tmp_path, capsys):
         """The stats file is opened only once the instance is accepted."""
+        bad = tmp_path / "rack.json"
+        bad.write_text(json.dumps({"problem": "rack", "racks": 2, "card_types": []}))
         stats = tmp_path / "stats.jsonl"
-        code = main(
-            [
-                "--problem", "rack",
-                "--instance", data_path("sport_n5.json"),
-                "--stats-json", str(stats),
-            ]
-        )
+        code = main(["--instance", str(bad), "--stats-json", str(stats)])
         assert code == 2
         assert not stats.exists()
 
@@ -636,36 +639,48 @@ class TestCli:
             '{"problem": "progressive_party", "periods": 2,'
             ' "hosts": [{"capacity": "6", "crew": 2}], "guests": [{"crew": 1}]}'
         )
-        code = main(["--problem", "party", "--instance", str(bad)])
+        code = main(["--instance", str(bad)])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "integers" in captured.err
 
-    def test_problem_mismatch_exit_two(self, capsys):
-        code = main(["--problem", "rack", "--instance", data_path("sport_n5.json")])
-        assert code == 2
+    @pytest.mark.parametrize(
+        "instance", ["party_toy.json", "rack_1.json", "sport_n5.json"], ids=case_id
+    )
+    def test_instance_alone_runs_its_problem_under_the_defaults(self, instance, capsys):
+        """The instance's problem field picks the model, and every option left
+        out takes its RunConfig default."""
+        with open(data_path(instance)) as fh:
+            problem = json.load(fh)["problem"]
+        assert main(["--instance", data_path(instance)]) == 0
+        rec = RunRecord.from_json(capsys.readouterr().out.strip().splitlines()[-1])
+        assert rec.problem == problem
+        assert rec.config == asdict(RunConfig())
+
+    def test_problem_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--problem", "sport", "--instance", data_path("sport_n5.json")])
+        assert exc.value.code == 2
+        assert "--problem" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "problem, instance", [("rack", "rack_1.json"), ("sport", "sport_n5.json")]
     )
     def test_column_wise_labelling_rejected_outside_party(self, problem, instance, capsys):
         """Only party's variable order follows --labelling; elsewhere the
-        option would do nothing, so it is refused."""
-        code = main(
-            ["--problem", problem, "--instance", data_path(instance), "--labelling", "column-wise"]
-        )
+        option would do nothing, so it is refused, naming the problem."""
+        code = main(["--instance", data_path(instance), "--labelling", "column-wise"])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "labelling" in captured.err
+        assert "labelling" in captured.err and problem in captured.err
 
     def test_timeout_exit_one(self, tmp_path, capsys):
         big = tmp_path / "sport_n9.json"
         big.write_text(json.dumps({"problem": "sport", "teams": 9}))
         code = main(
             [
-                "--problem", "sport",
                 "--instance", str(big),
                 "--symmetry", "none",
                 "--timeout", "0.5",
@@ -682,7 +697,6 @@ class TestCli:
         before the first node.  All are refused."""
         code = main(
             [
-                "--problem", "sport",
                 "--instance", data_path("sport_n5.json"),
                 "--timeout", timeout,
             ]
@@ -693,24 +707,24 @@ class TestCli:
         assert "timeout" in captured.err
 
     @pytest.mark.parametrize(
-        "problem, instance, symmetry, encoding",
+        "instance, symmetry, encoding",
         [
-            ("sport", "sport_n5.json", "mset", "gcc"),
-            ("rack", "rack_1.json", "mset", "algorithm"),
-            ("sport", "sport_n5.json", "none", "algorithm"),
-            ("sport", "sport_n5.json", "lex", "algorithm"),
-            ("party", "party_toy.json", "lex", "algorithm"),
+            ("sport_n5.json", "mset", "gcc"),
+            ("rack_1.json", "mset", "algorithm"),
+            ("sport_n5.json", "none", "algorithm"),
+            ("sport_n5.json", "lex", "algorithm"),
+            ("party_toy.json", "lex", "algorithm"),
         ],
+        ids=case_id,
     )
     def test_entailment_without_a_tracking_filter_exit_two(
-        self, problem, instance, symmetry, encoding, capsys
+        self, instance, symmetry, encoding, capsys
     ):
         """Only an unconditional occurrence filter tracks entailment: another
         encoding, rack's conditional orderings and a symmetry that posts no
         multiset ordering leave the flag nothing to do, so it is refused."""
         code = main(
             [
-                "--problem", problem,
                 "--instance", data_path(instance),
                 "--symmetry", symmetry,
                 "--encoding", encoding,
@@ -723,20 +737,21 @@ class TestCli:
         assert "entailment" in captured.err
 
     @pytest.mark.parametrize(
-        "problem, instance, symmetry, encoding",
+        "instance, symmetry, encoding",
         [
-            ("sport", "sport_n5.json", "none", "gcc"),
-            ("sport", "sport_n5.json", "lex", "arith"),
-            ("party", "party_toy.json", "none", "algorithm-sorted"),
-            ("party", "party_toy.json", "lex", "sort"),
-            ("rack", "rack_1.json", "none", "arith"),
-            pytest.param("party", PARTY_DISTINCT_CREWS, "mset-rows", "gcc", id="party-distinct"),
-            pytest.param("rack", ONE_RACK, "mset", "gcc", id="rack-one-gcc"),
-            pytest.param("rack", ONE_RACK, "mset", "arith", id="rack-one-arith"),
+            ("sport_n5.json", "none", "gcc"),
+            ("sport_n5.json", "lex", "arith"),
+            ("party_toy.json", "none", "algorithm-sorted"),
+            ("party_toy.json", "lex", "sort"),
+            ("rack_1.json", "none", "arith"),
+            pytest.param(PARTY_DISTINCT_CREWS, "mset-rows", "gcc", id="party-distinct"),
+            pytest.param(ONE_RACK, "mset", "gcc", id="rack-one-gcc"),
+            pytest.param(ONE_RACK, "mset", "arith", id="rack-one-arith"),
         ],
+        ids=case_id,
     )
     def test_encoding_without_a_multiset_ordering_exit_two(
-        self, problem, instance, symmetry, encoding, tmp_path, capsys
+        self, instance, symmetry, encoding, tmp_path, capsys
     ):
         """Where no multiset ordering is posted, an encoding has nothing to
         do, so any but the default is refused: under a symmetry that posts
@@ -749,7 +764,6 @@ class TestCli:
             path = data_path(instance)
         code = main(
             [
-                "--problem", problem,
                 "--instance", str(path),
                 "--symmetry", symmetry,
                 "--encoding", encoding,
@@ -760,19 +774,12 @@ class TestCli:
         assert captured.out == ""
         assert "encoding" in captured.err
 
-    def test_party_alias_matches_instance(self, capsys):
-        code = main(
-            ["--problem", "party", "--instance", data_path("party_toy.json")]
-        )
-        assert code == 0
-
     def test_closed_stdout_pipe_keeps_exit_code(self):
         """``bench ... | head -1``: the reader leaving early is no error."""
         env = dict(os.environ, PYTHONPATH=str(Path(msetcp.__file__).resolve().parents[1]))
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "msetcp.cli",
-                "--problem", "sport",
                 "--instance", data_path("sport_n5.json"),
                 "--symmetry", "mset",
             ],

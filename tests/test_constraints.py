@@ -1427,6 +1427,16 @@ class TestPartyFilters:
         with pytest.raises(ValueError, match="0..2"):
             propagate_to_fixpoint(m)
 
+    def test_no_hosts_and_no_guests_always_holds(self):
+        # a capacity over nothing has no load to exceed
+        m = Model()
+        x = m.new_var({0, 1})
+        cap = HostCapacity([], [], [])
+        m.post(cap)
+        sol, _ = Solver(m).solve(Branching([x]))
+        assert sol == [0]
+        assert cap.check(sol)
+
     def test_checks_are_ground_semantics(self):
         cap = HostCapacity([0, 1, 2], [2, 1, 1], [3, 1])
         assert cap.check([0, 0, 1])

@@ -1,10 +1,12 @@
 """Fixpoint engine and search: queue semantics, stats, soundness, determinism."""
 
+import itertools
 import random
 import time
 from collections import deque
 from functools import partial
 from importlib import resources
+from types import SimpleNamespace
 
 import pytest
 
@@ -944,3 +946,38 @@ def test_budgeted_search_trees_pinned():
         got.append((solver.stats.choice_points, solver.stats.fails))
         expected.append(fingerprint)
     assert got == expected
+
+
+class TestStoppedSearch:
+    """A search stopped by an exception leaves the store at the depth it had
+    on entry, so a second ``solve`` on the same solver searches from the same
+    domains: rack_5 under ``mset`` is proved optimal at 800 again."""
+
+    @staticmethod
+    def _rack_5():
+        path = str(resources.files("msetcp").joinpath("data/rack_5.json"))
+        built = build(load_instance(path), RunConfig(symmetry="mset"))
+        return Solver(built.model), built.branching, built.model.objective
+
+    def _assert_solves_again(self, solver, branching, objective):
+        assert solver.store.depth() == 0
+        sol, _ = solver.solve(branching, minimize=objective)
+        assert sol is not None and sol[objective] == 800
+        assert solver.store.depth() == 0
+
+    def test_value_order_raising_mid_search(self):
+        solver, branching, objective = self._rack_5()
+        with pytest.raises(BudgetReached):
+            solver.solve(budgeted(branching, solver, 500), minimize=objective)
+        self._assert_solves_again(solver, branching, objective)
+
+    def test_deadline_crossed_mid_search(self, monkeypatch):
+        # a clock that ticks once per reading crosses the deadline after the
+        # same number of deadline checks on every run
+        ticks = itertools.count()
+        monkeypatch.setattr("msetcp.engine.time", SimpleNamespace(monotonic=lambda: next(ticks)))
+        solver, branching, objective = self._rack_5()
+        with pytest.raises(SearchTimeout):
+            solver.solve(branching, minimize=objective, timeout=500)
+        assert solver.stats.choice_points > 0
+        self._assert_solves_again(solver, branching, objective)
