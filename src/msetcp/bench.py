@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .constraints import (
     AllDifferent,
@@ -36,7 +36,6 @@ from .constraints import (
 from .engine import Branching, Model, SearchTimeout, Solver
 from .mset import MultisetOrdering, SortedMultisetOrdering
 
-PROBLEMS = ("progressive_party", "rack", "sport")
 ENCODINGS = ("algorithm", "algorithm-sorted", "gcc", "sort", "arith")
 LABELLINGS = ("row-wise", "column-wise")
 
@@ -54,9 +53,6 @@ class RunConfig:
     timeout: Optional[float] = None
 
     def validate(self) -> None:
-        # the builders look symmetry up in dicts, and an unhashable key raises
-        if not isinstance(self.symmetry, str):
-            raise SchemaError(f"symmetry must be a string, not {self.symmetry!r}")
         if not isinstance(self.entailment, bool):
             raise SchemaError(f"entailment must be a bool, not {self.entailment!r}")
         if self.timeout is not None and not (
@@ -65,8 +61,6 @@ class RunConfig:
             raise SchemaError(f"timeout must be a number, not {self.timeout!r}")
         if self.encoding not in ENCODINGS:
             raise SchemaError(f"unknown encoding {self.encoding!r}")
-        if self.labelling not in LABELLINGS:
-            raise SchemaError(f"unknown labelling {self.labelling!r}")
         # NaN fails both comparisons
         if self.timeout is not None and not 0 < self.timeout < math.inf:
             raise SchemaError(f"timeout must be finite and positive, not {self.timeout}")
@@ -149,12 +143,7 @@ def load_instance(path_or_doc) -> dict:
     problem = _require(doc, "problem", str)
     if problem not in PROBLEMS:
         raise SchemaError(f"unknown problem {problem!r}")
-    if problem == "progressive_party":
-        _normalize_party(doc)
-    elif problem == "rack":
-        _normalize_rack(doc)
-    else:
-        _normalize_sport(doc)
+    PROBLEMS[problem].normalize(doc)
     return doc
 
 
@@ -337,6 +326,7 @@ class BuiltModel:
     model: Model
     branching: Branching
     meta: dict = field(default_factory=dict)
+    problem: str = ""  # the instance's, set by build
 
 
 def build_progressive_party(instance: dict, cfg: RunConfig) -> BuiltModel:
@@ -353,8 +343,6 @@ def build_progressive_party(instance: dict, cfg: RunConfig) -> BuiltModel:
     guests of equal crew size (partial row symmetry); column orderings
     between all adjacent periods.
     """
-    if cfg.symmetry not in _PARTY_SYMMETRY_MAP:
-        raise SchemaError(f"unknown party symmetry {cfg.symmetry!r}")
     hosts = instance["hosts"]
     p = instance["periods"]
     guests = sorted(instance["guests"], key=lambda g: -g["crew"])
@@ -413,8 +401,6 @@ def build_rack(instance: dict, cfg: RunConfig) -> BuiltModel:
     Same-model racks are interchangeable, so adjacent racks get a conditional
     multiset ordering on their card-count columns when symmetry is enabled.
     """
-    if cfg.symmetry not in ("none", "mset"):
-        raise SchemaError(f"unknown rack symmetry {cfg.symmetry!r}")
     models = list(instance["rack_models"]) + [{"power": 0, "connectors": 0, "price": 0}]
     cards = instance["card_types"]
     r = instance["racks"]
@@ -504,8 +490,6 @@ def build_sport(instance: dict, cfg: RunConfig) -> BuiltModel:
     """
     n = instance["teams"]
     odd = n % 2 == 1
-    if cfg.symmetry not in ("none", "mset", "lex"):
-        raise SchemaError(f"unknown sport symmetry {cfg.symmetry!r}")
     if cfg.symmetry == "mset" and not odd:
         raise SchemaError("multiset column ordering applies to odd team counts only")
     periods = (n - 1) // 2 if odd else n // 2
@@ -568,21 +552,42 @@ def build_sport(instance: dict, cfg: RunConfig) -> BuiltModel:
 # -- harness ---------------------------------------------------------------------------
 
 
+class Problem(NamedTuple):
+    """One problem's instance check and builder, and what its builder accepts."""
+
+    normalize: Callable[[dict], None]
+    build: Callable[[dict, RunConfig], BuiltModel]
+    symmetries: tuple[str, ...]
+    labellings: tuple[str, ...]
+
+
+PROBLEMS = {
+    "progressive_party": Problem(
+        _normalize_party, build_progressive_party, tuple(_PARTY_SYMMETRY_MAP), LABELLINGS
+    ),
+    "rack": Problem(_normalize_rack, build_rack, ("none", "mset"), ("row-wise",)),
+    "sport": Problem(_normalize_sport, build_sport, ("none", "mset", "lex"), ("row-wise",)),
+}
+
+
 def build(instance: dict, cfg: RunConfig) -> BuiltModel:
-    """The model of ``instance`` under ``cfg``.  Refuses an option that would
-    reach nothing in it: a labelling outside party, an encoding other than the
-    default where no multiset ordering is posted (the builders count them in
-    ``meta["mset_orderings"]``), or entailment where no
-    :class:`MultisetOrdering`, the one filter that tracks it, is posted."""
+    """The model of ``instance`` under ``cfg``, or the run's refusal, made
+    before any search: a config that fails :meth:`RunConfig.validate`, a
+    symmetry or labelling that the problem's entry in :data:`PROBLEMS` does
+    not list, an encoding other than the default where no multiset ordering
+    is posted (the builders count them in ``meta["mset_orderings"]``), or
+    entailment where no :class:`MultisetOrdering`, the one filter that tracks
+    it, is posted."""
+    cfg.validate()
     problem = instance["problem"]
-    if problem != "progressive_party" and cfg.labelling != "row-wise":
-        raise SchemaError(f"{problem} has one variable order; --labelling applies to party")
-    if problem == "progressive_party":
-        built = build_progressive_party(instance, cfg)
-    elif problem == "rack":
-        built = build_rack(instance, cfg)
-    else:
-        built = build_sport(instance, cfg)
+    spec = PROBLEMS[problem]
+    # membership in a tuple refuses a value of any type, an unhashable one too
+    for name, listed in (("symmetry", spec.symmetries), ("labelling", spec.labellings)):
+        value = getattr(cfg, name)
+        if value not in listed:
+            raise SchemaError(f"{problem} takes {name} {', '.join(listed)}, not {value!r}")
+    built = spec.build(instance, cfg)
+    built.problem = problem
     # the default encoding passes, as a config cannot tell it from a user's
     # choice
     if cfg.encoding != "algorithm" and not built.meta["mset_orderings"]:
@@ -602,8 +607,11 @@ def run(cfg: RunConfig, instance: dict) -> RunRecord:
     Wall time covers the search only (model build excluded).  The stats
     record is deterministic for a given (config, instance) pair.
     """
-    cfg.validate()
-    built = build(instance, cfg)
+    return search(build(instance, cfg), cfg)
+
+
+def search(built: BuiltModel, cfg: RunConfig) -> RunRecord:
+    """Solve ``built``, the model :func:`build` made under ``cfg``, and report it."""
     model, branching = built.model, built.branching
     optimizing = model.objective is not None
     status = "solved"
@@ -619,7 +627,7 @@ def run(cfg: RunConfig, instance: dict) -> RunRecord:
         status = "timeout"
         stats = solver.stats
     return RunRecord(
-        problem=instance["problem"],
+        problem=built.problem,
         config=asdict(cfg),
         status=status,
         fails=stats.fails,

@@ -3,10 +3,10 @@
 The instance's ``problem`` field picks the model; every option left out takes
 its :class:`~msetcp.bench.RunConfig` default.  Prints a human-readable line
 plus the machine-readable JSON record to stdout; ``--stats-json PATH``
-additionally appends the JSON record to a file, which is opened once the
-instance is checked and before the run.  Exit codes: 0 on solved/unsat, 1 on
-timeout, 2 on schema or configuration errors and when the ``--stats-json``
-file cannot be opened.
+additionally appends the JSON record to a file, which is opened once
+:func:`~msetcp.bench.build` has accepted the instance and every option, and
+before the search.  Exit codes: 0 on solved/unsat, 1 on timeout, 2 on schema
+or configuration errors and when the ``--stats-json`` file cannot be opened.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ import argparse
 import os
 import sys
 from contextlib import nullcontext
-from typing import Optional, Sequence, TextIO
+from typing import Optional, Sequence
 
-from .bench import ENCODINGS, LABELLINGS, RunConfig, SchemaError, load_instance, run
+from .bench import ENCODINGS, LABELLINGS, PROBLEMS, RunConfig, SchemaError
+from .bench import build, load_instance, search
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,10 +32,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--instance", required=True, help="instance JSON file; its problem field picks the model"
     )
-    parser.add_argument(
-        "--symmetry",
-        help="which ordering constraints to post (e.g. none, mset, lex, mset-rows, lex+mset)",
-    )
+    symmetries = "; ".join(f"{name}: {', '.join(p.symmetries)}" for name, p in PROBLEMS.items())
+    parser.add_argument("--symmetry", help=f"which ordering constraints to post ({symmetries})")
     parser.add_argument(
         "--encoding", choices=ENCODINGS, help="how multiset orderings are propagated"
     )
@@ -57,42 +56,32 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     stats_json = options.pop("stats_json", None)
     cfg = RunConfig(**options)
     try:
-        instance = load_instance(path)
+        built = build(load_instance(path), cfg)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # opened after the instance is checked, so a refused instance leaves no
-    # file, and before the run, so a path that cannot take the record costs
-    # no search
+    # opened once every option is accepted, so a refused run leaves no file,
+    # and before the search, so a path that cannot take the record costs no
+    # search
     try:
         sink = open(stats_json, "a") if stats_json else nullcontext()
     except OSError as exc:
         print(f"error: cannot open --stats-json file: {exc}", file=sys.stderr)
         return 2
     with sink as stats:
-        return _bench(cfg, instance, stats)
-
-
-def _bench(cfg: RunConfig, instance: dict, stats: Optional[TextIO]) -> int:
-    """Run ``cfg`` on ``instance``: print its record, append it to ``stats``
-    when given, and return the exit code."""
-    try:
-        record = run(cfg, instance)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        print(record.text_line())
-        print(record.to_json(), flush=True)
-    except BrokenPipeError:
-        # the reader stopped early (``bench ... | head -1``): the run is
-        # complete, so its exit code stands; the interpreter's final flush of
-        # the dead pipe goes to devnull instead of raising again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-    if stats is not None:
-        stats.write(record.to_json() + "\n")
+        record = search(built, cfg)
+        try:
+            print(record.text_line())
+            print(record.to_json(), flush=True)
+        except BrokenPipeError:
+            # the reader stopped early (``bench ... | head -1``): the run is
+            # complete, so its exit code stands; the interpreter's final flush
+            # of the dead pipe goes to devnull instead of raising again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        if stats is not None:
+            stats.write(record.to_json() + "\n")
     return 1 if record.status == "timeout" else 0
 
 

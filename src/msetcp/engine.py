@@ -112,6 +112,11 @@ class Model:
 
 @dataclass
 class SearchStats:
+    """What a solver's searches did.  Every field counts over the solver's
+    life: each ``solve`` adds its fails, choice points, solutions and
+    ``wall_time`` (seconds), and ``best_objective`` is the objective of the
+    last solution found."""
+
     fails: int = 0
     choice_points: int = 0
     wall_time: float = 0.0
@@ -382,7 +387,7 @@ class Solver:
             # the checkpoints of the open branch
             while store.depth() > depth:
                 store.pop()
-            stats.wall_time = time.monotonic() - start
+            stats.wall_time += time.monotonic() - start
 
 
 def propagate_to_fixpoint(model: Model) -> bool:

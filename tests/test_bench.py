@@ -17,6 +17,7 @@ import msetcp
 from msetcp import oracle
 from msetcp.bench import (
     ENCODINGS,
+    PROBLEMS,
     RunConfig,
     RunRecord,
     SchemaError,
@@ -187,6 +188,54 @@ class TestRunRecord:
         name = next(iter(fields))
         with pytest.raises(SchemaError, match=name):
             run(RunConfig(**fields), data_instance(instance))
+
+
+class TestProblemTable:
+    """Each problem's symmetries and labellings are listed once, in
+    ``PROBLEMS``; the builders accept every listed one and ``build`` refuses
+    any other."""
+
+    # sport_n5, as mset needs an odd team count
+    SHIPPED = {
+        "progressive_party": "party_toy.json",
+        "rack": "rack_1.json",
+        "sport": "sport_n5.json",
+    }
+
+    def test_a_shipped_instance_per_problem(self):
+        assert set(self.SHIPPED) == set(PROBLEMS)
+
+    @pytest.mark.parametrize(
+        "problem, symmetry, labelling",
+        [
+            (problem, symmetry, labelling)
+            for problem, spec in PROBLEMS.items()
+            for symmetry in spec.symmetries
+            for labelling in spec.labellings
+        ],
+    )
+    def test_every_listed_option_builds(self, problem, symmetry, labelling):
+        instance = data_instance(self.SHIPPED[problem])
+        built = build(instance, RunConfig(symmetry=symmetry, labelling=labelling))
+        assert built.problem == problem
+
+    @pytest.mark.parametrize(
+        "problem, field, value",
+        [
+            ("progressive_party", "symmetry", "sideways"),
+            ("progressive_party", "labelling", "diagonal"),
+            ("rack", "symmetry", "lex"),
+            ("rack", "labelling", "column-wise"),
+            ("sport", "symmetry", "mset-rows"),
+            ("sport", "symmetry", ["mset"]),
+            ("sport", "labelling", "column-wise"),
+        ],
+    )
+    def test_unlisted_option_refused_naming_field_and_problem(self, problem, field, value):
+        instance = data_instance(self.SHIPPED[problem])
+        with pytest.raises(SchemaError) as exc:
+            build(instance, RunConfig(**{field: value}))
+        assert field in str(exc.value) and problem in str(exc.value)
 
 
 class TestSportModel:
@@ -603,7 +652,7 @@ class TestCli:
         before the run, not with a traceback after the whole search."""
         stats = tmp_path if where == "directory" else tmp_path / "missing" / "stats.jsonl"
         runs = []
-        monkeypatch.setattr("msetcp.cli.run", lambda *args: runs.append(args))
+        monkeypatch.setattr("msetcp.cli.search", lambda *args: runs.append(args))
         code = main(
             [
                 "--instance", data_path("sport_n5.json"),
@@ -616,6 +665,23 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert str(stats) in captured.err
+
+    @pytest.mark.parametrize(
+        "instance, options",
+        [
+            ("sport_n5.json", ["--timeout", "nan"]),
+            ("sport_n5.json", ["--symmetry", "none", "--entailment"]),
+            ("rack_1.json", ["--symmetry", "lex"]),
+        ],
+        ids=["timeout-nan", "sport-none-entailment", "rack-lex"],
+    )
+    def test_refused_option_leaves_no_stats_file(self, instance, options, tmp_path, capsys):
+        """The stats file is opened only once every option is accepted."""
+        stats = tmp_path / "stats.jsonl"
+        code = main(["--instance", data_path(instance), *options, "--stats-json", str(stats)])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+        assert not stats.exists()
 
     def test_schema_error_exit_two_no_stdout(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

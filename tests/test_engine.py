@@ -981,3 +981,17 @@ class TestStoppedSearch:
             solver.solve(branching, minimize=objective, timeout=500)
         assert solver.stats.choice_points > 0
         self._assert_solves_again(solver, branching, objective)
+
+    def test_wall_time_adds_up_over_a_stopped_and_a_finished_search(self, monkeypatch):
+        """Like every other count, ``wall_time`` adds up over the solver's
+        life, so nodes/s taken from the stats stays right after a re-solve."""
+        ticks = itertools.count()
+        monkeypatch.setattr("msetcp.engine.time.monotonic", lambda: next(ticks))
+        solver, branching, objective = self._rack_5()
+        with pytest.raises(SearchTimeout):
+            solver.solve(branching, minimize=objective, timeout=500)
+        stopped = solver.stats.wall_time
+        assert stopped > 500
+        # without a deadline, the clock is read once at the start, once at the end
+        _, stats = solver.solve(branching, minimize=objective)
+        assert stats.wall_time == stopped + 1
