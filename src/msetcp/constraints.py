@@ -199,6 +199,8 @@ class Cardinality(Propagator):
         self._slots: list[int] = []
 
     def attach(self, store: Store) -> None:
+        if self._ranked:  # a second set-up would rank another store's values
+            raise ValueError("this Cardinality is already attached; post a new one")
         # attach runs before any pruning and domains only shrink from there,
         # so every value a domain holds later has its rank now
         rank, unrank = rank_map(chain(store.domains(self.xs), [self.vals]))
@@ -278,6 +280,8 @@ class SortednessLink(Propagator):
         self._unrank: list[int] = []
 
     def attach(self, store: Store) -> None:
+        if self._unrank:  # a second set-up would rank another store's values
+            raise ValueError("this SortednessLink is already attached; post a new one")
         # domains only shrink after attach, so every later value has a rank
         self._rank, self._unrank = rank_map(chain(store.domains(self.xs), store.domains(self.sxs)))
 
@@ -354,6 +358,8 @@ class ArithmeticMultiset(MultisetPair):
         self._powers: list[int] = []
 
     def attach(self, store: Store) -> None:
+        if self._powers:  # a second set-up would size the table to another store
+            raise ValueError("this ArithmeticMultiset is already attached; post a new one")
         vs = self.xs + self.ys
         if any(store.min(v) < 0 for v in vs):
             raise ValueError("arithmetic encoding requires non-negative values")

@@ -23,6 +23,14 @@ interpreter's recursion limit, and each node resumes the scan for the next
 unfixed variable where its parent's scan stopped (domains only shrink down a
 branch).  Every emitted solution is re-checked against the ground semantics
 of all posted constraints.
+
+Each claim of the set-up has one holder.  The store serves one solver: the
+solver claims it (:meth:`Store.dispatch_to`) before any set-up runs, and a
+second solver over it, through the same model or another that shares it, is
+refused.  The solver runs the propagators it copied when it was built:
+:meth:`Solver.propagate_root`, which every search runs first, refuses a
+model posted to since.  A stateful propagator is attached once: its
+``attach`` refuses a second set-up, on any store.
 """
 
 from __future__ import annotations
@@ -55,7 +63,9 @@ class Propagator:
     only ``propagate``, from the root queue and whenever a subscribed event
     fires.  ``post`` (``attach``, then ``propagate``) is the stand-alone
     entry on a bare store, which the engine never calls, so every pruning
-    a constraint makes is in ``propagate``.  Both raise
+    a constraint makes is in ``propagate``.  A propagator that keeps state
+    built in ``attach`` is attached once, so one instance is posted to one
+    model once; its ``attach`` refuses a second set-up.  Both raise
     :class:`Inconsistent` on disentailment.  ``check`` is the ground-level
     semantic test used to verify emitted solutions independently.
 
@@ -90,15 +100,16 @@ class Propagator:
 class Model:
     """Variable declarations plus posted propagators and an optional objective.
 
-    One :class:`Solver` runs a model: it attaches the propagators to the
-    model's store, so the model cannot be handed to a second one.
+    The model claims nothing itself.  Its store serves one :class:`Solver`,
+    which refuses to be built over a store that already has one, and that
+    solver runs the propagators posted before it was built: a later post is
+    refused when it next propagates.
     """
 
     def __init__(self) -> None:
         self.store = Store()
         self.propagators: list[Propagator] = []
         self.objective: Optional[int] = None
-        self._taken = False  # whether a Solver runs this model
 
     def new_var(self, values: Iterable[int]) -> int:
         return self.store.new_var(values)
@@ -152,11 +163,12 @@ class Solver:
     """Propagation network over one model; drives fixpoint and search."""
 
     def __init__(self, model: Model) -> None:
-        # a second network would attach every propagator again on the same
-        # store, so a dedicated filter would watch its variables twice and
-        # count every bound change twice
-        if model._taken:
-            raise ValueError("this Model already has a Solver; build a new Model for another one")
+        """Claim the model's store and set up every propagator, in post
+        order.  Raises ValueError on a subscription to a variable that the
+        store lacks (the store is then left unclaimed), on a store that
+        already has a Solver, and on a set-up that refuses its input (the
+        store is then claimed, as the set-ups before it may have registered
+        watchers on it)."""
         self.model = model
         self.store = model.store
         self.props = list(model.propagators)
@@ -174,14 +186,13 @@ class Solver:
             if var not in range(self.store.num_vars()):
                 name = type(self.props[subs[0][0]]).__name__
                 raise ValueError(f"{name} subscribes to variable {var}, which the store lacks")
-        # taken first: a refused set-up may already have registered watchers
-        model._taken = True
-        for prop in self.props:
-            prop.attach(self.store)
         self._active = [True] * n
         self._queue: deque[int] = deque(range(n))
         self._queued = [True] * n
+        # attach prunes nothing, so claiming the store first queues nothing
         self.store.dispatch_to(by_var, self._active, self._queued, self._queue.append)
+        for prop in self.props:
+            prop.attach(self.store)
         self.stats = SearchStats()
         self._deadline: Optional[float] = None
         self._root_failed = False
@@ -236,7 +247,12 @@ class Solver:
     def propagate_root(self) -> bool:
         """Initial propagation; False when the model fails at the root, and
         on every call after a failure at the root (counted once, when it
-        happened), so a failed model is never searched."""
+        happened), so a failed model is never searched.  Raises ValueError
+        when the model's propagators are no longer the ones this solver
+        copied when it was built, as after a later post, which it would
+        never run."""
+        if self.model.propagators != self.props:
+            raise ValueError("a propagator was posted after the Solver was built")
         if self._root_failed:
             return False
         try:

@@ -377,6 +377,9 @@ class DedicatedFilter(MultisetPair):
         self.ymax_index: Optional[MaxIndex] = None
 
     def attach(self, store: Store) -> None:
+        # a second set-up would add a second set of watchers on the state
+        if self.xmax_index is not None:
+            raise ValueError(f"this {type(self).__name__} is already attached; post a new one")
         xs, ys = self.xs, self.ys
         xdoms, ydoms = store.domains(xs), store.domains(ys)
         self._set_up(xdoms, ydoms)

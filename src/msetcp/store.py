@@ -246,10 +246,14 @@ class Store:
         queued: list[bool],
         enqueue: Callable[[int], None],
     ) -> None:
-        """Hand the store a solver's queue.  From now on a shrink of ``var``
-        calls ``enqueue(idx)`` for each ``(idx, mask)`` of ``subs[var]``, in
-        order, whose mask meets the shrink's kinds and that ``active`` marks
-        live and ``queued`` idle, and sets its ``queued`` flag."""
+        """Hand the store a solver's queue, which claims the store for that
+        solver.  From now on a shrink of ``var`` calls ``enqueue(idx)`` for
+        each ``(idx, mask)`` of ``subs[var]``, in order, whose mask meets the
+        shrink's kinds and that ``active`` marks live and ``queued`` idle,
+        and sets its ``queued`` flag.  The store serves one solver: a second
+        call raises ValueError, as it would take the first solver's wakes."""
+        if self._enqueue is not None:
+            raise ValueError("this store already has a Solver; build a new Model for another one")
         self._subs, self._active, self._queued, self._enqueue = subs, active, queued, enqueue
 
     def take_raw_events(self) -> list[tuple[int, int]]:

@@ -19,7 +19,10 @@ from msetcp.constraints import (
     Conditional,
     HostCapacity,
     LessThan,
+    LexOrdering,
     LinearSum,
+    MeetOnce,
+    SortednessLink,
     TableConstraint,
     sum_eq,
 )
@@ -30,9 +33,10 @@ from msetcp.engine import (
     SearchTimeout,
     Solver,
     Status,
+    ascending,
     propagate_to_fixpoint,
 )
-from msetcp.mset import MultisetOrdering
+from msetcp.mset import MultisetOrdering, SortedMultisetOrdering, StatelessMultisetOrdering
 from msetcp.store import EventKind, Inconsistent
 from test_store import RecordingStore
 
@@ -140,6 +144,35 @@ class TestFixpoint:
         m.store.set_min(xs[0], 1)
         assert prop.xmin_counts == [2, 1, 0]
         assert prop.rebuilt_counts(m.store) == (prop.xmin_counts, prop.ymax_counts)
+
+    def test_second_solver_over_a_shared_store_refused(self):
+        """The second Solver used to take the store's wakes from the first,
+        whose search then emitted a solution that breaks its own constraint
+        (RuntimeError from the solution check)."""
+        a, b = Model(), Model()
+        x, y = a.new_var(range(4)), a.new_var(range(4))
+        b.store = a.store
+        a.post(LessThan(y, x))
+        b.post(AllDifferent([x, y]))
+        s = Solver(a)
+        with pytest.raises(ValueError, match="already has a Solver"):
+            Solver(b)
+        sol, _ = s.solve(Branching.by_key([x, y], lambda var, val: val if var == x else -val))
+        assert sol == [1, 0]
+
+    def test_post_after_the_solver_refused_before_any_choice_point(self):
+        """The Solver runs the propagators it copied when it was built, so a
+        later post used to be ignored: ``solve`` returned [0, 0] against
+        ``y < x``."""
+        m = Model()
+        x, y = m.new_var(range(3)), m.new_var(range(3))
+        s = Solver(m)
+        m.post(LessThan(y, x))
+        with pytest.raises(ValueError, match="posted after the Solver was built"):
+            s.solve(Branching([x, y]))
+        assert s.stats.choice_points == 0
+        with pytest.raises(ValueError, match="posted after the Solver was built"):
+            s.propagate_root()
 
     def test_subscription_to_a_negative_variable_refused(self):
         """Python would read the last variable through index -1."""
@@ -267,6 +300,43 @@ class TestSetUp:
         assert sol == [0]
         assert log[3:6] == [("propagate", "a"), ("propagate", "b"), ("propagate", "c")]
         assert {call for call, _ in log[3:]} == {"propagate"}
+
+    @pytest.mark.parametrize("wrap", [False, True], ids=["posted-twice", "two-conditionals"])
+    def test_filter_set_up_twice_refused(self, wrap):
+        """Both sets of bound watchers used to apply every change to the one
+        state, and the search raised ValueError from ``SortedBlocks.move``."""
+        m = Model()
+        g = m.new_var(range(2))
+        xs = [m.new_var(range(4)) for _ in range(3)]
+        ys = [m.new_var(range(4)) for _ in range(3)]
+        prop = MultisetOrdering(xs, ys)
+        for _ in range(2):
+            m.post(Conditional(g, g, prop) if wrap else prop)
+        with pytest.raises(ValueError, match="this MultisetOrdering is already attached"):
+            Solver(m)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(partial(ArithmeticMultiset, base=3), id="ArithmeticMultiset"),
+            pytest.param(SortednessLink, id="SortednessLink"),
+            pytest.param(lambda xs, occ: Cardinality(xs, [2, 1, 0], occ), id="Cardinality"),
+        ],
+    )
+    def test_propagator_shared_by_two_models_refused(self, make):
+        """Its state used to be rebuilt from the second model's store, so the
+        first model's search raised IndexError (the power table sized to the
+        second model's top) or KeyError (a rank map missing its values)."""
+        a, b = Model(), Model()
+        vs = [a.new_var(range(6)) for _ in range(6)]
+        for _ in vs:
+            b.new_var(range(2))
+        prop = make(vs[:3], vs[3:])
+        a.post(prop)
+        b.post(prop)
+        Solver(a)
+        with pytest.raises(ValueError, match=f"this {type(prop).__name__} is already attached"):
+            Solver(b)
 
     def test_conditional_body_attached_though_its_guards_never_meet(self):
         log = []
@@ -838,6 +908,112 @@ class TestSearchCompleteness:
                 assert sol is None
             else:
                 assert stats.best_objective == min(feasible), (xd, yd)
+
+
+def _pick(rng, vs, k):
+    """``k`` variables drawn from ``vs`` with replacement, so one may repeat."""
+    return [rng.choice(vs) for _ in range(k)]
+
+
+def _random_multiset(rng, vs):
+    """A random multiset ordering between two disjoint vectors of distinct
+    variables, their lengths drawn independently."""
+    both = rng.sample(vs, rng.randint(2, len(vs)))
+    cut = rng.randint(1, len(both) - 1)
+    xs, ys = both[:cut], both[cut:]
+    strict = rng.random() < 0.5
+    kind = rng.randrange(4)
+    if kind == 0:
+        return MultisetOrdering(xs, ys, strict, entailment=rng.random() < 0.5)
+    if kind == 1:
+        return SortedMultisetOrdering(xs, ys, strict)
+    if kind == 2:
+        return StatelessMultisetOrdering(xs, ys, strict)
+    base = max(2, len(xs), len(ys)) + (len(xs) != len(ys)) + rng.randint(0, 1)
+    return ArithmeticMultiset(xs, ys, base, strict)
+
+
+def _random_propagator(rng, doms):
+    """A propagator of a random class over the variables ``0..len(doms)-1``,
+    whose declared domains are ``doms``; every class that accepts a repeated
+    variable draws its variables with replacement."""
+    vs = list(range(len(doms)))
+    kind = rng.randrange(12)
+    k = rng.randint(1, 3)
+    if kind == 0:
+        return LessThan(*_pick(rng, vs, 2))
+    if kind == 1:
+        return LexOrdering(_pick(rng, vs, k), _pick(rng, vs, k), strict=rng.random() < 0.5)
+    if kind == 2:
+        xs = _pick(rng, vs, k + 1)
+        coeffs = [rng.choice([-2, -1, 1, 2]) for _ in xs]
+        # a constant some choice of values meets, so both outcomes occur
+        constant = sum(c * rng.choice(doms[x]) for c, x in zip(coeffs, xs))
+        return LinearSum(coeffs, xs, rng.choice(["<=", "=="]), constant)
+    if kind == 3:
+        return AllDifferent(_pick(rng, vs, k + 1))
+    if kind == 4:
+        tuples = [tuple(rng.randrange(4) for _ in range(k)) for _ in range(rng.randint(1, 6))]
+        return TableConstraint(_pick(rng, vs, k), tuples)
+    if kind == 5:
+        values = sorted(rng.sample(range(4), rng.randint(1, 4)), reverse=True)
+        return Cardinality(_pick(rng, vs, k), values, _pick(rng, vs, len(values)))
+    if kind == 6:
+        return SortednessLink(_pick(rng, vs, k), _pick(rng, vs, k))
+    if kind == 7:
+        return _random_multiset(rng, vs)
+    if kind == 8:
+        body = LessThan(*_pick(rng, vs, 2)) if rng.random() < 0.5 else _random_multiset(rng, vs)
+        return Conditional(*_pick(rng, vs, 2), body)
+    if kind == 9:
+        hosts = _pick(rng, vs, k)
+        crew = [rng.randint(1, 3) for _ in hosts]
+        return HostCapacity(hosts, crew, [rng.randint(0, 5) for _ in range(4)])
+    if kind == 10:
+        return MeetOnce(_pick(rng, vs, k), _pick(rng, vs, k))
+    return _random_multiset(rng, vs)  # the most varied family, drawn twice as often
+
+
+class TestWholeSearchDifferential:
+    """Search over random small models, which mix every propagator class
+    that a benchmark model posts and repeat variables wherever a class
+    accepts it, agrees with enumeration over the propagators' ``check``."""
+
+    def test_random_models_match_enumeration(self):
+        rng = random.Random(29)
+        outcomes = {True: 0, False: 0, "optimized": 0}
+        for trial in range(1000):
+            n = rng.randint(2, 6)
+            doms = [sorted(rng.sample(range(4), rng.randint(1, 4))) for _ in range(n)]
+            m = Model()
+            for d in doms:
+                m.new_var(d)
+            props = [_random_propagator(rng, doms) for _ in range(rng.randint(1, 5))]
+            for prop in props:
+                m.post(prop)
+            terms = None
+            if rng.random() < 0.4:
+                terms = _pick(rng, list(range(n)), rng.randint(1, 3))
+                obj = m.new_var(range(3 * len(terms) + 1))  # holds every sum
+                m.post(LinearSum([1] * len(terms) + [-1], terms + [obj], "==", 0))
+                m.minimize(obj)
+            value_order = ascending if rng.random() < 0.5 else (lambda var, vals: vals[::-1])
+            branching = Branching(rng.sample(range(n), n), value_order)
+            sol, stats = Solver(m).solve(branching, minimize=m.objective)
+            sat = [
+                values
+                for values in itertools.product(*doms)
+                if all(prop.check(values) for prop in props)
+            ]
+            case = (trial, doms, [type(p).__name__ for p in props])
+            assert (sol is not None) == bool(sat), case
+            outcomes[bool(sat)] += 1
+            if terms is not None and sat:
+                outcomes["optimized"] += 1
+                best = min(sum(values[t] for t in terms) for values in sat)
+                assert stats.best_objective == best, case
+        # neither outcome, nor the optimum check, is left to a handful of models
+        assert min(outcomes.values()) >= 100, outcomes
 
 
 class TestStatsInvariants:
