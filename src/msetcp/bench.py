@@ -249,16 +249,16 @@ def post_mset_ordering(
             {v for w in list(xs) + list(ys) for v in model.store.values(w)},
             reverse=True,
         )
-        ox = [model.new_var(range(len(xs) + 1)) for _ in values]
-        oy = [model.new_var(range(len(ys) + 1)) for _ in values]
+        ox = model.new_vars(len(values), range(len(xs) + 1))
+        oy = model.new_vars(len(values), range(len(ys) + 1))
         model.post(Cardinality(xs, values, ox))
         model.post(Cardinality(ys, values, oy))
         model.post(LexOrdering(ox, oy, strict=strict))
     elif enc == "sort":
         union_x = {v for w in xs for v in model.store.values(w)}
         union_y = {v for w in ys for v in model.store.values(w)}
-        sxs = [model.new_var(union_x) for _ in xs]
-        sys_ = [model.new_var(union_y) for _ in ys]
+        sxs = model.new_vars(len(xs), union_x)
+        sys_ = model.new_vars(len(ys), union_y)
         model.post(SortednessLink(xs, sxs))
         model.post(SortednessLink(ys, sys_))
         model.post(LexOrdering(sxs, sys_, strict=strict))
@@ -318,6 +318,12 @@ _PARTY_SYMMETRY_MAP = {
 }
 
 
+def _rows(ids: list[int], width: int) -> list[list[int]]:
+    """``ids`` cut into consecutive rows of ``width``: the matrix whose
+    variables one :meth:`Model.new_vars` call declared row by row."""
+    return [ids[k : k + width] for k in range(0, len(ids), width)]
+
+
 # -- progressive party -------------------------------------------------------------
 
 
@@ -351,7 +357,7 @@ def build_progressive_party(instance: dict, cfg: RunConfig) -> BuiltModel:
     crew = [b["crew"] for b in guests]
 
     m = Model()
-    H = [[m.new_var(range(h)) for _ in range(g)] for _ in range(p)]
+    H = _rows(m.new_vars(p * g, range(h)), g)
     # (3) spare capacity per period and host
     for i in range(p):
         m.post(HostCapacity(H[i], crew, spare))
@@ -397,7 +403,9 @@ def build_rack(instance: dict, cfg: RunConfig) -> BuiltModel:
 
     A zero-power/zero-connector/zero-price dummy model marks unused racks.
     One table per rack, all over one relation, ties its model to its
-    connectors, power and price.
+    connectors, power and price.  The objective, the sum of the prices, is
+    declared over ``0..racks * max(price)``, what those prices can sum to,
+    which is where the root fixpoint would cut any wider declaration.
     Same-model racks are interchangeable, so adjacent racks get a conditional
     multiset ordering on their card-count columns when symmetry is enabled.
     """
@@ -409,11 +417,11 @@ def build_rack(instance: dict, cfg: RunConfig) -> BuiltModel:
     max_conn = max(mo["connectors"] for mo in models)
 
     m = Model()
-    R = [m.new_var(range(nm)) for _ in range(r)]
-    C = [[m.new_var(range(max_conn + 1)) for _ in range(r)] for _ in range(t)]
-    conn = [m.new_var({mo["connectors"] for mo in models}) for _ in range(r)]
-    power = [m.new_var({mo["power"] for mo in models}) for _ in range(r)]
-    price = [m.new_var({mo["price"] for mo in models}) for _ in range(r)]
+    R = m.new_vars(r, range(nm))
+    C = _rows(m.new_vars(t * r, range(max_conn + 1)), r)
+    conn = m.new_vars(r, {mo["connectors"] for mo in models})
+    power = m.new_vars(r, {mo["power"] for mo in models})
+    price = m.new_vars(r, {mo["price"] for mo in models})
     rows = [(k, mo["connectors"], mo["power"], mo["price"]) for k, mo in enumerate(models)]
     specs = TableConstraint([R[0], conn[0], power[0], price[0]], rows)
     for j in range(r):
@@ -440,7 +448,7 @@ def build_rack(instance: dict, cfg: RunConfig) -> BuiltModel:
     m.post(LinearSum([-1] * r, conn, "<=", -total_cards))
     m.post(LinearSum([-1] * r, power, "<=", -total_power))
     # objective
-    obj = m.new_var(range(sum(mo["price"] for mo in models) * r + 1))
+    obj = m.new_var(range(max(mo["price"] for mo in models) * r + 1))
     m.post(LinearSum([1] * r + [-1], price + [obj], "==", 0))
     m.minimize(obj)
 
@@ -502,11 +510,8 @@ def build_sport(instance: dict, cfg: RunConfig) -> BuiltModel:
     codes = {tr[2] for tr in triples}
 
     m = Model()
-    T = [
-        [[m.new_var(teams) for _ in range(2)] for _ in range(weeks)]
-        for _ in range(periods)
-    ]
-    G = [[m.new_var(codes) for _ in range(real_weeks)] for _ in range(periods)]
+    T = [_rows(row, 2) for row in _rows(m.new_vars(periods * weeks * 2, teams), weeks * 2)]
+    G = _rows(m.new_vars(periods * real_weeks, codes), real_weeks)
 
     # every week column: no team twice
     for w in range(weeks):
@@ -514,7 +519,7 @@ def build_sport(instance: dict, cfg: RunConfig) -> BuiltModel:
     # all games different
     m.post(AllDifferent([G[j][w] for j in range(periods) for w in range(real_weeks)]))
     # every period row: each team exactly twice
-    occ_two = [m.new_var({2}) for _ in teams]
+    occ_two = m.new_vars(n, {2})
     for j in range(periods):
         row = [T[j][w][s] for w in range(weeks) for s in range(2)]
         m.post(Cardinality(row, sorted(teams, reverse=True), occ_two))

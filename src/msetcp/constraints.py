@@ -770,7 +770,8 @@ class MeetOnce(Propagator):
 
 
 class ReifiedEquals(Propagator):
-    """``b = 1  <->  x = y`` with a 0/1 variable ``b``."""
+    """``b = 1  <->  x = y`` with a 0/1 variable ``b``; a ``b`` declared
+    over any other value is refused when attached."""
 
     def __init__(self, x: int, y: int, b: int) -> None:
         self.x = x
@@ -781,6 +782,10 @@ class ReifiedEquals(Propagator):
         yield self.x, EventKind.ANY
         yield self.y, EventKind.ANY
         yield self.b, EventKind.INSTANTIATED
+
+    def attach(self, store: Store) -> None:
+        if store.min(self.b) < 0 or store.max(self.b) > 1:
+            raise ValueError("ReifiedEquals needs b to range within 0..1")
 
     def propagate(self, store: Store) -> Status:
         x, y, b = self.x, self.y, self.b
@@ -843,12 +848,12 @@ class Conditional(Propagator):
         self.body.attach(store)
 
     def propagate(self, store: Store) -> Status:
-        a, b = self.guard_a, self.guard_b
-        if store.is_fixed(a) and store.is_fixed(b):
-            if store.min(a) == store.min(b):
+        da, db = store.values(self.guard_a), store.values(self.guard_b)
+        if len(da) == 1 and len(db) == 1:
+            if da[0] == db[0]:
                 return self.body.propagate(store)
             return Status.ENTAILED
-        if not set(store.values(a)) & set(store.values(b)):
+        if set(da).isdisjoint(db):
             return Status.ENTAILED
         return Status.ACTIVE
 

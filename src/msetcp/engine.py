@@ -111,6 +111,11 @@ class Model:
         self.propagators: list[Propagator] = []
         self.objective: Optional[int] = None
 
+    def new_vars(self, count: int, values: Iterable[int]) -> list[int]:
+        """``count`` variables over one domain, declared in one store call
+        (:meth:`Store.new_vars`); their ids come back in order."""
+        return self.store.new_vars(count, values)
+
     def new_var(self, values: Iterable[int]) -> int:
         return self.store.new_var(values)
 

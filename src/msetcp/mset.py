@@ -41,10 +41,9 @@ one block, as every shipped model's does, is a single sorted list.
 from __future__ import annotations
 
 from bisect import bisect_left, insort_left
-from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .engine import Propagator, Status
 from .order import Ordering, mset_cmp, rank_map
@@ -55,8 +54,7 @@ NO_INDEX = float("-inf")
 _low, _high = itemgetter(0), itemgetter(-1)  # the bounds of a domain tuple
 
 
-@dataclass(frozen=True)
-class Flags:
+class Flags(NamedTuple):
     """Pointer/flag summary of the floor of X against the ceiling of Y.
 
     Both pointers are values.  ``first_lt``: the largest value whose count

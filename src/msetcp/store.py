@@ -1,6 +1,9 @@
 """Trailed finite integer domains with modification events and bound watchers.
 
-A domain is a sorted tuple of ints; every mutation shrinks it.  Shrinks are
+A domain is a sorted tuple of ints; every mutation shrinks it into a new
+tuple, so the variables of a vector declared in one call
+(:meth:`Store.new_vars`, which checks and sorts the values once) share the
+tuple of their declared domain until each first shrinks.  Shrinks are
 recorded on a trail so that :meth:`Store.pop` restores each domain bit-exactly
 to its state at the matching :meth:`Store.push`.  Bound watchers fire on every
 min/max transition, in both directions (shrink and restore), which lets
@@ -79,9 +82,14 @@ class Store:
 
     # -- variables ---------------------------------------------------------
 
-    def new_var(self, values: Iterable[int]) -> int:
-        """A new variable over ``values``; a value that is not an int (a bool,
+    def new_vars(self, count: int, values: Iterable[int]) -> list[int]:
+        """``count`` new variables over ``values``, whose ids come back in
+        order and run on from the last variable's.  The values are checked,
+        deduplicated and sorted once, and the variables share the one domain
+        tuple until each first shrinks.  A value that is not an int (a bool,
         a float, any subclass of int) is a ``TypeError``."""
+        if count < 0:
+            raise ValueError(f"cannot create {count} variables")
         vals = tuple(values)  # checked before deduplication, which lets 1 hide True
         if set(map(type, vals)) - {int}:
             bad = next(v for v in vals if type(v) is not int)
@@ -89,9 +97,14 @@ class Store:
         vals = tuple(sorted(set(vals)))
         if not vals:
             raise ValueError("variable created with empty domain")
-        self._values.append(vals)
-        self._watchers.append([])
-        return len(self._values) - 1
+        first = len(self._values)
+        self._values.extend([vals] * count)
+        self._watchers.extend([] for _ in range(count))
+        return list(range(first, first + count))
+
+    def new_var(self, values: Iterable[int]) -> int:
+        """One new variable over ``values``, as :meth:`new_vars` makes it."""
+        return self.new_vars(1, values)[0]
 
     def num_vars(self) -> int:
         return len(self._values)

@@ -471,6 +471,20 @@ class TestRackModel:
                 col_b = [sol[C[i][j + 1]] for i in range(len(C))]
                 assert mset_cmp(col_a, col_b) is not Ordering.GREATER
 
+    @pytest.mark.parametrize("name", [f"rack_{i}.json" for i in range(1, 7)])
+    @pytest.mark.parametrize("symmetry", ["none", "mset"])
+    def test_objective_declared_over_what_the_prices_sum_to(self, name, symmetry):
+        """The root fixpoint cut the old declaration, 0..racks * (sum of the
+        prices), to 0..racks * max(price): 0..1,000 on rack_5.  Declared
+        there, it is a domain the root leaves as it is."""
+        inst = data_instance(name)
+        built = build(inst, RunConfig(symmetry=symmetry))
+        store, obj = built.model.store, built.model.objective
+        top = inst["racks"] * max(mo["price"] for mo in inst["rack_models"])
+        assert store.values(obj) == tuple(range(top + 1))
+        assert Solver(built.model).propagate_root()
+        assert store.values(obj) == tuple(range(top + 1))
+
 
 class TestPartyModel:
     def _toy(self):

@@ -22,6 +22,7 @@ from msetcp.constraints import (
     LexOrdering,
     LinearSum,
     MeetOnce,
+    ReifiedEquals,
     SortednessLink,
     TableConstraint,
     sum_eq,
@@ -273,6 +274,23 @@ class TestSetUp:
             Solver(m)
         with pytest.raises(ValueError, match="already has a Solver"):
             Solver(m)
+
+    def test_reified_equals_refuses_b_beyond_zero_one(self):
+        """``check`` read any ``b`` but 1 as "different" while ``propagate``
+        assigned ``b = 0``, so with ``b`` over {2, 3} ``solve`` found no
+        solution although ``check([0, 1, 2])`` holds."""
+        for dom in ([2, 3], [-1, 0], [0, 1, 2]):
+            m = Model()
+            x, y, b = m.new_var([0]), m.new_var([1]), m.new_var(dom)
+            m.post(ReifiedEquals(x, y, b))
+            with pytest.raises(ValueError, match="ReifiedEquals"):
+                Solver(m)
+        for dom in ([0], [1], [0, 1]):
+            m = Model()
+            x, y, b = m.new_var([0]), m.new_var([0, 1]), m.new_var(dom)
+            m.post(ReifiedEquals(x, y, b))
+            sol, _ = Solver(m).solve(Branching([x, y, b]))
+            assert sol == [0, 1 - dom[-1], dom[-1]]
 
     @pytest.mark.parametrize("pruned_first", [False, True])
     def test_negative_arithmetic_values_refused_whatever_the_post_order(self, pruned_first):
@@ -938,7 +956,7 @@ def _random_propagator(rng, doms):
     whose declared domains are ``doms``; every class that accepts a repeated
     variable draws its variables with replacement."""
     vs = list(range(len(doms)))
-    kind = rng.randrange(12)
+    kind = rng.randrange(13)
     k = rng.randint(1, 3)
     if kind == 0:
         return LessThan(*_pick(rng, vs, 2))
@@ -971,6 +989,9 @@ def _random_propagator(rng, doms):
         return HostCapacity(hosts, crew, [rng.randint(0, 5) for _ in range(4)])
     if kind == 10:
         return MeetOnce(_pick(rng, vs, k), _pick(rng, vs, k))
+    flags = [v for v in vs if set(doms[v]) <= {0, 1}]
+    if kind == 11 and flags:  # b declared within 0..1, as attach requires
+        return ReifiedEquals(*_pick(rng, vs, 2), rng.choice(flags))
     return _random_multiset(rng, vs)  # the most varied family, drawn twice as often
 
 

@@ -5,6 +5,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from msetcp.constraints import TableConstraint
+from msetcp.engine import Model, propagate_to_fixpoint
 from msetcp.store import EventKind, Inconsistent, Store
 
 
@@ -19,19 +21,79 @@ def test_empty_domain_rejected():
     s = Store()
     with pytest.raises(ValueError):
         s.new_var([])
+    with pytest.raises(ValueError):
+        s.new_vars(3, [])
+    assert s.num_vars() == 0
 
 
 @pytest.mark.parametrize(
     "values, bad",
-    [([0.5, 1.5], "0.5"), ([True, 2], "True"), ([1, True], "True"), ([3, "4"], "'4'")],
+    [
+        ([0.5, 1.5], "0.5"),
+        ([True, 2], "True"),
+        ([1, True], "True"),
+        ([3, "4"], "'4'"),
+        ([1, 1.0], "1.0"),
+    ],
 )
 def test_non_int_values_rejected_by_name(values, bad):
     """A float would later index a filter's tables and a bool would be
-    stored as a domain value, so both are refused where they enter."""
+    stored as a domain value, so both are refused where they enter; one
+    equal to an int before it would vanish in the deduplication, so the
+    check reads the values before it, once for a whole vector."""
     s = Store()
     with pytest.raises(TypeError, match=bad):
         s.new_var(values)
+    with pytest.raises(TypeError, match=bad):
+        s.new_vars(3, values)
     assert s.num_vars() == 0
+
+
+def test_new_vars_hands_out_consecutive_ids_sharing_one_tuple():
+    s = Store()
+    first = s.new_var([7])
+    vs = s.new_vars(4, [3, 1, 3, 2])
+    assert vs == [first + 1, first + 2, first + 3, first + 4]
+    assert s.num_vars() == 5 and s.new_var([0]) == 5
+    assert s.values(vs[0]) == (1, 2, 3)
+    assert all(s.values(v) is s.values(vs[0]) for v in vs)
+
+
+def test_new_vars_of_none_adds_nothing():
+    s = Store()
+    assert s.new_vars(0, range(3)) == []
+    assert s.num_vars() == 0
+    with pytest.raises(ValueError):
+        s.new_vars(-1, range(3))
+    assert s.num_vars() == 0
+
+
+def test_one_variable_of_a_vector_shrinks_and_is_restored_alone():
+    s = Store()
+    vs = s.new_vars(3, range(5))
+    shared = s.values(vs[0])
+    log = []
+    s.watch_bounds(vs, lambda *args: log.append(args))
+    s.push()
+    assert s.set_max(vs[1], 2)
+    assert s.values(vs[1]) == (0, 1, 2)
+    assert s.values(vs[0]) is shared and s.values(vs[2]) is shared
+    s.pop()
+    assert [s.values(v) for v in vs] == [shared] * 3
+    assert log == [(vs[1], 0, 4, 0, 2), (vs[1], 0, 2, 0, 4)]
+
+
+def test_variable_listed_twice_in_a_vector_reaches_the_fixpoint():
+    """The table reads ``a`` twice and ``b`` once, all three the one shared
+    tuple.  Narrowing ``a`` to its first position's support (0, 1, 2) leaves
+    the second read stale, and ``retain`` keeps of the second support
+    (1, 2, 3) what is left, (1, 2); ``b`` has not shrunk, so its read is
+    current.  Only (2, 2, 2) has ``a`` equal in both places."""
+    m = Model()
+    a, b = m.new_vars(2, range(4))
+    m.post(TableConstraint([a, a, b], [(0, 1, 0), (1, 2, 1), (2, 2, 2), (1, 3, 3)]))
+    assert propagate_to_fixpoint(m)
+    assert (m.store.values(a), m.store.values(b)) == ((2,), (2,))
 
 
 def test_set_max_and_min_trim_bounds():
