@@ -989,9 +989,10 @@ def _random_propagator(rng, doms):
         return HostCapacity(hosts, crew, [rng.randint(0, 5) for _ in range(4)])
     if kind == 10:
         return MeetOnce(_pick(rng, vs, k), _pick(rng, vs, k))
-    flags = [v for v in vs if set(doms[v]) <= {0, 1}]
-    if kind == 11 and flags:  # b declared within 0..1, as attach requires
-        return ReifiedEquals(*_pick(rng, vs, 2), rng.choice(flags))
+    if kind == 11:
+        flags = [v for v in vs if set(doms[v]) <= {0, 1}]  # b within 0..1, as attach requires
+        if flags:
+            return ReifiedEquals(*_pick(rng, vs, 2), rng.choice(flags))
     return _random_multiset(rng, vs)  # the most varied family, drawn twice as often
 
 
